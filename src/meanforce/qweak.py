@@ -1,17 +1,33 @@
 """Second-order (weak-coupling) quantum mean-force state.
 
-Principal-value reservoir integrals A_beta(omega_n) for the Lorentzian
-spectral density, their symmetric and antisymmetric combinations, and the
-second-order corrected density matrix and spin expectation values.
+Reservoir integrals A_beta(omega) for the Lorentzian spectral density and
+their derivatives in closed form, their symmetric and antisymmetric
+combinations, and the second-order corrected density matrix and spin
+expectation values.
+
+J is odd, so A_beta(omega) = PV int_R J(w)(n(w)+1)/(w - omega) dw.  Closing
+the contours over the poles p = +-i Gamma/2 +- sqrt(omega_0^2 - Gamma^2/4)
+of J and the Matsubara poles of n gives, with c = beta/2 pi and
+r_p = Res_p J/(p - omega) (Tanimura, J. Phys. Soc. Jpn. 75, 082001 (2006)),
+
+    A = Re[sum_{Im p>0} r_p (i pi - psi(-i c p)) - sum_{Im p<0} r_p psi(1 + i c p)
+           - J(omega) psi(1 + i c omega)],
+
+and A = Re[-sum_p r_p log(-p)] - J(omega) log|omega| at beta = inf.  Every
+digamma argument has positive real part, so nothing overflows and a pole on
+a Matsubara frequency is harmless.  A' is the same sum differentiated in
+omega.  The tests check both against quadrature and mpmath.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
+from scipy.special import psi
 
 from .model import LorentzianBath, ModelParams
 from .qspin import qu_gibbs_stats, spin_operators, thermal_state
@@ -25,7 +41,10 @@ __all__ = [
     "qmf_wk_state",
 ]
 
-_QUAD_OPTS = dict(limit=400, epsabs=1e-12, epsrel=1e-11)
+# Bernoulli numbers B_2 .. B_12 of the asymptotic trigamma series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+_TRIGAMMA_SHIFT = 15
+_GL_T, _GL_W = leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -34,29 +53,76 @@ class BathIntegrals:
     a_minus: float     # A_beta(-omega_l)
     sigma: float       # A(+) + A(-)
     delta_b: float     # A(+) - A(-)
-    delta_b_prime: float  # A'(+) + A'(-)
-    sigma_prime: float    # A'(+) - A'(-)
+    delta_b_prime: float  # A'(+) + A'(-), A' = dA_beta/domega
+    sigma_prime: float    # A'(+) - A'(-) = dSigma/domega_l
     q: float           # A_beta(0)
 
 
-def _n_bose(omega: float, beta: float) -> float:
-    """Bose occupation 1/(e^{beta*omega} - 1) for omega > 0."""
-    x = beta * omega
-    if x < 1e-8:
-        # Laurent series, keeps J(w)*n finite as w -> 0
-        return 1.0 / x - 0.5 + x / 12.0
-    if x > 700:
-        return 0.0
-    return 1.0 / math.expm1(x)
+def _trigamma(z):
+    """Complex trigamma psi'(z) for Re z > 0, elementwise: the recurrence
+    psi'(z) = psi'(z + 1) + 1/z^2 up to |z| >= 15, then the asymptotic series
+    through B_12, which is exact to rounding there."""
+    z = np.asarray(z, dtype=complex)
+    head = np.sum((z[..., None] + np.arange(_TRIGAMMA_SHIFT)) ** -2.0, axis=-1)
+    w = 1.0 / (z + _TRIGAMMA_SHIFT)
+    w2 = w * w
+    series = 0.0
+    for b in reversed(_BERNOULLI):
+        series = b + w2 * series
+    return head + w + w2 * (0.5 + w * series)
+
+
+def _a_closed(bath: LorentzianBath, beta: float, omega: float, k: int) -> float:
+    """A_beta(omega) for k = 1 and A'_beta(omega) for k = 2, omega != 0.
+
+    Each pole factor is const - F(z0 + dz p), F = psi (log at beta = inf);
+    the residues carry 1/(p - omega)^k.  The omega term is -J x for k = 1 and
+    -(J' x + J x') for k = 2, x = F at the lower-pole map of omega.
+    """
+    w0, g = bath.omega_0, bath.gamma_w
+    delta = cmath.sqrt((w0 - 0.5 * g) * (w0 + 0.5 * g))
+    if math.isinf(beta):
+        fn, dfn = np.log, np.reciprocal
+        upper = lower = (0.0, 0.0, -1.0)
+    else:
+        fn, dfn = psi, _trigamma
+        c = beta / (2.0 * math.pi)
+        upper, lower = (1j * math.pi, 0.0, -1j * c), (0.0, 1.0, 1j * c)
+
+    def pair(m, const, z0, dz):
+        # Residue sum over the pole pair m +- delta: the divided difference
+        # (h(m + delta) - h(m - delta)) / 2 delta, h = f(p) / (p - omega)^k.
+        # Near critical damping the pair merges into a double pole and the
+        # quotient cancels; there it is the mean of h' over the segment by
+        # Gauss-Legendre, exact to rounding for |delta| < |m|/4 since h is
+        # analytic within |m| = Gamma/2 of m, and h'(m) at delta = 0.
+        if abs(delta) >= 0.25 * abs(m):
+            p = m + delta * np.array([1.0, -1.0])
+            h = (const - fn(z0 + dz * p)) / (p - omega) ** k
+            return (h[0] - h[1]) / (2.0 * delta)
+        p = m + delta * _GL_T
+        z, u = z0 + dz * p, 1.0 / (p - omega)
+        return 0.5 * np.dot(_GL_W, (-dz * dfn(z) - k * (const - fn(z)) * u) * u**k)
+
+    poles = pair(0.5j * g, *upper) - pair(-0.5j * g, *lower)
+    z = complex(lower[1] + lower[2] * omega)
+    den = (w0 * w0 - omega * omega) ** 2 + (g * omega) ** 2
+    amp = bath.a_lor * g / math.pi
+    j = amp * omega / den
+    if k == 1:
+        tail = j * fn(z)
+    else:
+        dden = 2.0 * omega * (g * g - 2.0 * (w0 * w0 - omega * omega))
+        tail = amp * (den - omega * dden) / den**2 * fn(z) + j * lower[2] * dfn(z)
+    return float((bath.a_lor / (2j * math.pi) * poles - tail).real)
 
 
 def bath_a(bath: LorentzianBath, beta: float, omega_n: float) -> float:
     """Principal-value integral
-    A_beta(wn) = PV int_0^inf J(w)[(n(w)+1)/(w-wn) - n(w)/(w+wn)] dw.
+    A_beta(wn) = PV int_0^inf J(w)[(n(w)+1)/(w-wn) - n(w)/(w+wn)] dw,
+    evaluated in closed form (see the module docstring).
 
-    wn = 0 returns Q exactly; beta = inf drops the occupation terms.  The
-    pole (at w = wn for wn > 0, at w = -wn for wn < 0 and finite beta) is
-    handled by subtracting the residue numerator over a symmetric window.
+    wn = 0 returns Q exactly; beta = inf drops the occupation terms.
     """
     if not isinstance(bath, LorentzianBath):
         raise TypeError("bath integrals require a Lorentzian bath")
@@ -66,102 +132,21 @@ def bath_a(bath: LorentzianBath, beta: float, omega_n: float) -> float:
         raise ValueError("A_beta diverges at beta = 0")
     if omega_n == 0.0:
         return bath.q
-
-    j = bath.j
-    cold = math.isinf(beta)
-
-    def occ(w):
-        return 0.0 if cold else _n_bose(w, beta)
-
-    if cold:
-        def integrand(w):
-            return j(w) / (w - omega_n)
-    else:
-        def integrand(w):
-            return j(w) * ((occ(w) + 1.0) / (w - omega_n)
-                           - occ(w) / (w + omega_n))
-
-    if omega_n > 0:
-        pole = omega_n
-
-        def numerator(w):
-            return j(w) * (occ(w) + 1.0)
-
-        def regular(w):
-            return -j(w) * occ(w) / (w + omega_n)
-
-    elif cold:
-        # integrand J(w)/(w - wn) is smooth on [0, inf) for wn < 0
-        return _quad_to_inf(integrand, 0.0, bath, abs(omega_n))
-    else:
-        pole = -omega_n
-
-        def numerator(w):
-            return -j(w) * occ(w)
-
-        def regular(w):
-            return j(w) * (occ(w) + 1.0) / (w - omega_n)
-
-    delta = min(pole, bath.gamma_w) / 4.0
-    lo, hi = pole - delta, pole + delta
-    f_pole = numerator(pole)
-
-    # PV over the window: the constant part integrates to zero by symmetry,
-    # the remainder has a removable singularity at the pole
-    def window(w):
-        if w == pole:
-            # derivative of the numerator via a tiny central difference
-            h = 1e-7 * max(pole, 1.0)
-            return (numerator(w + h) - numerator(w - h)) / (2.0 * h)
-        return (numerator(w) - f_pole) / (w - pole)
-
-    val = quad(window, lo, hi, points=[pole], **_QUAD_OPTS)[0]
-    val += quad(regular, lo, hi, **_QUAD_OPTS)[0]
-    val += quad(integrand, 0.0, lo, points=_interior(0.0, lo, bath), **_QUAD_OPTS)[0]
-    val += _quad_to_inf(integrand, hi, bath, pole)
-    return val
-
-
-def _interior(a, b, bath):
-    pts = [w for w in (bath.omega_0, bath.omega_0 - bath.gamma_w,
-                       bath.omega_0 + bath.gamma_w) if a < w < b]
-    return pts or None
-
-
-def _quad_to_inf(f, a, bath, pole_scale):
-    cut = max(4.0 * bath.omega_0, 2.0 * pole_scale + 10.0 * bath.gamma_w, a + 1.0)
-    val = quad(f, a, cut, points=_interior(a, cut, bath), **_QUAD_OPTS)[0]
-    val += quad(f, cut, np.inf, **_QUAD_OPTS)[0]
-    return val
-
-
-def _a_prime(bath: LorentzianBath, beta: float, omega_n: float,
-             h_rel: float = 1e-3) -> float:
-    """dA_beta/d(omega_n) by Richardson-extrapolated central differences."""
-    h = h_rel * abs(omega_n)
-
-    def central(step):
-        return (bath_a(bath, beta, omega_n + step)
-                - bath_a(bath, beta, omega_n - step)) / (2.0 * step)
-
-    d1 = central(h)
-    d2 = central(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
+    return _a_closed(bath, beta, omega_n, 1)
 
 
 def bath_combos(bath: LorentzianBath, beta: float, omega_l: float) -> BathIntegrals:
     """Symmetric/antisymmetric combinations of A_beta and its derivative
     evaluated at the spin gap omega_l.
 
-    The derivative combinations are formed from finite differences of the
-    principal-value integral itself; the squared-denominator kernels are
-    never integrated directly.
+    The derivatives A'(+-omega_l) = dA_beta/domega at +-omega_l come from
+    the closed form differentiated analytically; the squared-denominator
+    kernels are never integrated.
     """
     ap = bath_a(bath, beta, omega_l)
     am = bath_a(bath, beta, -omega_l)
-    app = _a_prime(bath, beta, omega_l)
-    # A'(-wn) is the derivative wrt the argument, evaluated at -wn
-    apm = _a_prime(bath, beta, -omega_l)
+    app = _a_closed(bath, beta, omega_l, 2)
+    apm = _a_closed(bath, beta, -omega_l, 2)
     return BathIntegrals(
         a_plus=ap,
         a_minus=am,

@@ -126,3 +126,14 @@ def test_wk_state_invariants():
 def test_wk_state_infinite_temperature_is_maximally_mixed():
     rho = qmf_wk_state(make_params(beta=0.0, n=2))
     assert np.allclose(rho, np.eye(3) / 3.0, atol=1e-12)
+
+
+def test_a_prime_at_narrow_peak():
+    # 45-digit mpmath derivatives of the closed form at omega_0 = 7,
+    # Gamma = 0.2, Q = 1.3, beta = 1: A'(7) and A'(-7).  A finite
+    # difference with a step 1e-3 |omega| misses both by 6e-6 relative.
+    app, apm = -910.779293203672437676, -0.7792932036724981038413
+    bi = bath_combos(LorentzianBath.from_q(1.3, 7.0, 0.2), 1.0, 7.0)
+    assert bi.sigma_prime == pytest.approx(app - apm, rel=1e-10)
+    assert bi.delta_b_prime == pytest.approx(app + apm, rel=1e-10)
+    assert 0.5 * (bi.delta_b_prime - bi.sigma_prime) == pytest.approx(apm, rel=1e-10)
