@@ -79,7 +79,11 @@ def rc_params(bath: LorentzianBath, n_levels: int = 16) -> RcParams:
 
 def rc_hamiltonian(params: ModelParams, rc: RcParams) -> np.ndarray:
     """-omega_l Sz x 1 + Omega 1 x a^dag a + lambda S_theta x (a + a^dag)
-    in the Sz (x) number basis."""
+    in the Sz (x) number basis.
+
+    Every term is real in this basis, so the matrix is real symmetric and
+    its eigendecomposition runs in real arithmetic, several times cheaper
+    than the complex Hermitian one."""
     n_osc = rc.n_levels
     dim = (params.n + 1) * n_osc
     if dim > _DIM_LIMIT:
@@ -89,9 +93,9 @@ def rc_hamiltonian(params: ModelParams, rc: RcParams) -> np.ndarray:
     num = np.diag(np.arange(n_osc, dtype=float))
     a = np.diag(np.sqrt(np.arange(1, n_osc, dtype=float)), k=1)
     x_op = a + a.T
-    h = (np.kron(-params.omega_l * so.sz, np.eye(n_osc))
+    h = (np.kron(-params.omega_l * so.sz.real, np.eye(n_osc))
          + np.kron(ident_s, rc.omega_rc * num)
-         + rc.lambda_rc * np.kron(so.s_theta(params.theta), x_op))
+         + rc.lambda_rc * np.kron(so.s_theta(params.theta).real, x_op))
     return h
 
 
@@ -150,7 +154,7 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
         rc = rc_params(params.bath, n_levels=n_levels)
         h = rc_hamiltonian(params, rc)
         rho_full = thermal_state(h, beta)
-        rho = _partial_trace_osc(rho_full, d_spin, n_levels)
+        rho = _partial_trace_osc(rho_full, d_spin, n_levels).astype(complex)
         sz = float(np.trace(rho @ so.sz).real)
         sx = float(np.trace(rho @ so.sx).real)
         if prev is not None and abs(sz - prev[0]) < tol and abs(sx - prev[1]) < tol:
