@@ -1,8 +1,9 @@
 """Classical spin equilibrium states.
 
 Exact classical mean-force (CMF) expectation values at arbitrary coupling via
-two-dimensional quadrature on the sphere, classical Gibbs closed forms, weak
-and ultrastrong closed forms, and a Monte-Carlo sampling oracle.
+a one-dimensional integral over the collective bath coordinate (and a 1D
+root search at T = 0), classical Gibbs closed forms, weak and ultrastrong
+closed forms, and a Monte-Carlo sampling oracle.
 
 The effective spin Hamiltonian after tracing out the reservoir is
 
@@ -23,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize, minimize_scalar
 
 from .model import ModelParams
+from .results import SpinExpectation
 
 __all__ = [
     "ClassicalMoments",
@@ -36,6 +37,7 @@ __all__ = [
     "cmf_expectations",
     "cmf_wk_expectations",
     "cl_us_expectations",
+    "us_expectations",
     "cmf_sample",
 ]
 
@@ -114,11 +116,6 @@ def _s_theta_unit(theta: float, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.cos(theta) * np.cos(v) - np.sin(theta) * np.sin(v) * np.cos(phi)
 
 
-def _logweight_scaled(theta, x1, x2, v, phi):
-    # log of exp(-beta*H_eff) in terms of x1 = beta*wL*S0, x2 = beta*Q*S0^2
-    return x1 * np.cos(v) + x2 * _s_theta_unit(theta, v, phi) ** 2
-
-
 def cmf_logweight(p: SphericalPoint, params: ModelParams) -> float:
     """-beta*H_eff at a spherical point; at beta = inf returns -H_eff itself
     (caller distinguishes via math.isinf(params.beta))."""
@@ -130,165 +127,181 @@ def cmf_logweight(p: SphericalPoint, params: ModelParams) -> float:
     return -params.beta * float(h_eff)
 
 
-def _polar_peaks(theta: float, x1: float, x2: float):
-    """Polar angles maximizing the log-weight along the phi = pi and
-    phi = 0 ridges (where the azimuthal maxima always sit)."""
-    peaks = []
-    for phi0 in (math.pi, 0.0):
-        res = minimize_scalar(
-            lambda v: -_logweight_scaled(theta, x1, x2, np.float64(v), np.float64(phi0)),
-            bounds=(0.0, math.pi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        peaks.append(float(res.x))
-    # the poles themselves can be maxima when the bounded search stops short
-    peaks.extend([0.0, math.pi])
-    return peaks
+# The bath-coordinate weight has at most two peaks, each about 1 wide in u;
+# panels of width _PANEL cover every u whose weight is within e^-_DEPTH of
+# the largest, and Gauss-Legendre rules of orders 12 and 20 give the error
+# estimate.
+_PANEL = 1.0
+_DEPTH = 45.0
+_RULES = (leggauss(12), leggauss(20))
 
 
-def _graded_breaks(a: float, b: float, centers, width: float, coarse: int = 8):
-    """Panel breakpoints on [a, b]: geometric ladders around each center at
-    the given width, merged with a uniform coarse partition."""
-    pts = set(np.linspace(a, b, coarse + 1))
-    width = max(width, 1e-9)
-    for c in centers:
-        off = width
-        while off < (b - a):
-            for x in (c - off, c + off):
-                if a < x < b:
-                    pts.add(x)
-            off *= 2.0
-        if a < c < b:
-            pts.add(c)
-    return np.array(sorted(pts))
+def _log_sinhc_less_r(r):
+    """log(sinh r / r) - r = -log 2r + log(1 - e^-2r) for r > 0, with expm1
+    so that it stays accurate near r = 0."""
+    return np.log(-np.expm1(-2.0 * r) / (2.0 * r))
 
 
-def _panel_nodes(breaks: np.ndarray, order: int):
-    x, w = leggauss(order)
-    lo = breaks[:-1][:, None]
-    hi = breaks[1:][:, None]
-    nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
-    wts = 0.5 * (hi - lo) * w[None, :]
+def _bath_panels(x1: float, x2: float) -> np.ndarray:
+    """Panel edges in u covering the weight's support, one row per band.
+
+    Since log(sinh r / r) <= r <= x1 + sigma|u|, the log-weight
+    -u^2/2 + log(sinh r / r) is at most x1 + x2 - (|u| - sigma)^2 / 2; at
+    u = sigma it is at least log(sinh R / R) - x2 with R = max(x1, 2 x2).
+    So |(|u|) - sigma| <= d covers the support, with
+    d^2 / 2 = _DEPTH + x1 + 2 x2 - log(sinh R / R).
+    """
+    sigma = math.sqrt(2.0 * x2)
+    big = max(x1, 2.0 * x2)
+    d = math.sqrt(2.0 * (_DEPTH + x1 + 2.0 * x2 - big
+                         - float(_log_sinhc_less_r(big))))
+    lo, hi = max(0.0, sigma - d), sigma + d
+    band = np.linspace(lo, hi, 1 + math.ceil((hi - lo) / _PANEL))
+    if lo == 0.0:
+        return np.concatenate([-band[:0:-1], band])[None, :]
+    return np.stack([-band[::-1], band])
+
+
+def _panel_nodes(breaks: np.ndarray, rule):
+    x, w = rule
+    lo = breaks[..., :-1, None]
+    hi = breaks[..., 1:, None]
+    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    wts = 0.5 * (hi - lo) * w
     return nodes.ravel(), wts.ravel()
 
 
-def _cmf_quad_once(theta, x1, x2, vb, pb, order, shift):
-    nv, wv = _panel_nodes(vb, order)
-    np_, wp = _panel_nodes(pb, order)
-    v = nv[:, None]
-    phi = np_[None, :]
-    logw = _logweight_scaled(theta, x1, x2, v, phi)
-    wgt = np.exp(logw - shift) * np.sin(v)
-    wmat = wv[:, None] * wp[None, :]
-    zi = float(np.sum(wgt * wmat))
-    szi = float(np.sum(wgt * np.cos(v) * wmat))
-    sxi = float(np.sum(wgt * np.sin(v) * np.cos(phi) * wmat))
-    return zi, szi, sxi
+def _bath_terms(theta: float, x1: float, x2: float, u: np.ndarray):
+    """Log-weight minus x2, and L(r)/r times (h_z, h_x), at the scaled bath
+    coordinate u = y / sigma, sigma = sqrt(2 x2).
+
+    The field is h = x1 z + y e_theta with r = |h|.  The log-weight
+    -u^2/2 + log(sinh r / r) - x2 is written as
+    -(|u| - sigma)^2 / 2 + (r - sigma|u|) - log 2r + log(1 - e^-2r) with
+    r - sigma|u| = (x1^2 + 2 x1 y cos theta) / (r + sigma|u|), so that no
+    term of size x2 cancels.
+    """
+    sigma = math.sqrt(2.0 * x2)
+    y = sigma * u
+    yc = y * math.cos(theta)
+    hz = x1 + yc
+    hx = -y * math.sin(theta)
+    # r = 0 needs theta = 0 and y = -x1; every formula below has its limit
+    # at r = 1e-300 already
+    r = np.maximum(np.hypot(hz, hx), 1e-300)
+    logw = (-0.5 * (np.abs(u) - sigma) ** 2
+            + (x1 * x1 + 2.0 * x1 * yc) / (r + np.abs(y))
+            + _log_sinhc_less_r(r))
+    # L(r)/r = (coth r - 1/r)/r, by its series below 0.1
+    small = r < 0.1
+    rb = np.where(small, 1.0, r)
+    r2 = r * r
+    g = np.where(small,
+                 1.0 / 3.0 - r2 / 45.0 + 2.0 * r2**2 / 945.0 - r2**3 / 4725.0,
+                 (1.0 / np.tanh(rb) - 1.0 / rb) / rb)
+    return logw, g * hz, g * hx
+
+
+def _bath_average(theta, x1, x2, u, w):
+    """(log Z - x2, sz, sx) from one quadrature rule over u."""
+    logw, fz, fx = _bath_terms(theta, x1, x2, u)
+    top = float(logw.max())
+    wt = w * np.exp(logw - top)
+    total = float(wt.sum())
+    return (top + math.log(total / math.sqrt(2.0 * math.pi)),
+            float(wt @ fz) / total, float(wt @ fx) / total)
 
 
 def _cmf_zero_temperature(theta: float, zeta: float) -> ClassicalMoments:
-    """T = 0 limit: average observables over the global minima of H_eff."""
+    """T = 0 limit: the average of s over the global maxima of -H_eff.
 
-    def h(u):
-        v, phi = u
-        return -float(_logweight_scaled(theta, 1.0, zeta, np.float64(v), np.float64(phi)))
+    The maxima lie in the x-z plane, s = (sin psi, 0, cos psi), where
+    -H_eff / (omega_l S0) = g(psi) = cos psi + zeta cos^2(psi + theta).
+    Each maximum is bracketed by a + to - sign change of g' on a grid and
+    polished as a root of g' by Newton's method, which resolves psi to
+    rounding; maximising g itself resolves only sqrt(eps).
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    if abs(c) < 1e-12:
+        # transverse coupling, as in _us_tanh: cos of the float nearest pi/2
+        # is 6e-17, which would tilt the flat maximum at zeta = 1/2 by 4e-6
+        c = 0.0
 
-    # dense scan, then local polish of every near-optimal grid-local minimum
-    v = np.linspace(0.0, math.pi, 361)
-    phi = np.linspace(0.0, 2.0 * math.pi, 721)
-    hv = -_logweight_scaled(theta, 1.0, zeta, v[:, None], phi[None, :])
-    span = float(hv.max() - hv.min()) or 1.0
-    pad = np.pad(hv, 1, mode="edge")
-    local = np.ones_like(hv, dtype=bool)
-    for dv, dp in ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1),
-                   (-1, 1), (-1, -1)):
-        local &= hv <= pad[1 + dv:pad.shape[0] - 1 + dv,
-                           1 + dp:pad.shape[1] - 1 + dp]
-    cand = np.argwhere(local & (hv <= hv.min() + 1e-3 * span))
-    if len(cand) > 64:
-        order = np.argsort(hv[cand[:, 0], cand[:, 1]])
-        cand = cand[order[:64]]
-    minima = []
-    for iv, ip in cand:
-        res = minimize(
-            h,
-            x0=[v[iv], phi[ip]],
-            method="Nelder-Mead",
-            options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 2000},
-        )
-        # keep the raw angles: the polisher may wander to an equivalent
-        # point with v outside [0, pi], where the direction cosines below
-        # are still correct
-        vv, pp = float(res.x[0]), float(res.x[1])
-        vec = (math.sin(vv) * math.cos(pp), math.sin(vv) * math.sin(pp),
-               math.cos(vv))
-        minima.append((float(res.fun), vec))
-    fmin = min(m[0] for m in minima)
-    tol = 1e-9 * span
-    kept = []
-    for f, vec in sorted(minima):
-        if f > fmin + tol:
-            continue
-        if any(max(abs(a - b) for a, b in zip(vec, v2)) < 1e-6
-               for _, v2 in kept):
-            continue
-        kept.append((f, vec))
-    sz = float(np.mean([vec[2] for _, vec in kept]))
-    sx = float(np.mean([vec[0] for _, vec in kept]))
+    def shape(p):
+        """g and its first two derivatives, on arrays or scalars."""
+        a = c * np.cos(p) - s * np.sin(p)   # cos(p + theta)
+        b = c * np.sin(p) + s * np.cos(p)   # sin(p + theta)
+        return (np.cos(p) + zeta * a * a, -np.sin(p) - 2.0 * zeta * a * b,
+                -np.cos(p) - 2.0 * zeta * (a * a - b * b))
+
+    # psi = 0 is a grid point, where g' vanishes exactly at theta = 0, pi/2
+    step = 2.0 * math.pi / 1440
+    psi = np.arange(-720, 720) * step
+    gvals, gp, _ = shape(psi)
+    gp_next = np.roll(gp, -1)
+    roots = []
+    for i in np.flatnonzero((gp > 0.0) & (gp_next <= 0.0)):
+        lo, hi = float(psi[i]), float(psi[i]) + step
+        x = lo if abs(gp[i]) < abs(gp_next[i]) else hi
+        for _ in range(100):
+            _, d1, d2 = shape(x)
+            if d1 == 0.0:
+                break
+            if d1 > 0.0:
+                lo = x
+            else:
+                hi = x
+            # Newton, or bisection where Newton leaves the bracket
+            x, last = x - d1 / d2, x
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            if abs(x - last) < 1e-15:
+                break
+        roots.append((float(shape(x)[0]), float(x)))
+    best = max(val for val, _ in roots)
+    span = float(gvals.max() - gvals.min()) or 1.0
+    kept = [x for val, x in roots if val >= best - 1e-9 * span]
+    sz = sum(math.cos(x) for x in kept) / len(kept)
+    sx = sum(math.sin(x) for x in kept) / len(kept)
     return ClassicalMoments(z_part=math.inf, sz=sz, sx=sx, quad_err=0.0)
 
 
-def cmf_expectations(params: ModelParams, tol: float = 1e-10,
-                     max_rounds: int = 4) -> ClassicalMoments:
-    """Exact CMF partition function and (sz, sx) by graded Gauss-Legendre
-    quadrature over the sphere (phi folded onto [0, pi] and doubled).
+def cmf_expectations(params: ModelParams, tol: float = 1e-10) -> ClassicalMoments:
+    """Exact CMF partition function and (sz, sx).
 
-    Valid for any Q >= 0 and any beta including 0 and inf; at beta = inf the
-    arg-min orientation average is returned instead.
+    The Gaussian identity exp(x2 u^2) = E_y[exp(y u)], y ~ N(0, 2 x2), and
+    the sphere average sinh|h|/|h| of exp(h.s) for h = x1 z + y e_theta
+    turn the sphere integral into a 1D integral over the collective bath
+    coordinate y, done by composite Gauss-Legendre quadrature.  quad_err is
+    the difference between two orders; above tol QuadratureNotConverged is
+    raised.  Valid for any Q >= 0 and any beta including 0 and inf; at
+    beta = inf the average over the orientations of least energy is
+    returned instead.
     """
     theta = params.theta
     if math.isinf(params.beta):
         return _cmf_zero_temperature(theta, params.zeta)
     x1 = params.beta * params.omega_l * params.s0
     x2 = params.beta * params.q * params.s0**2
+    if x2 == 0.0:
+        return cl_gibbs_stats(x1)
 
-    width = 1.0 / math.sqrt(1.0 + x1 + 4.0 * x2)
-    peaks = _polar_peaks(theta, x1, x2)
-    vb = _graded_breaks(0.0, math.pi, peaks, width)
-    pb = _graded_breaks(0.0, math.pi, [0.0, math.pi], width)
-
-    phis = (math.pi, 0.0)
-    shift = max(
-        float(_logweight_scaled(theta, x1, x2, np.float64(v0), np.float64(p0)))
-        for v0 in peaks for p0 in phis
-    )
-
-    prev = None
-    for round_ in range(max_rounds):
-        zi_a, szi_a, sxi_a = _cmf_quad_once(theta, x1, x2, vb, pb, 12, shift)
-        zi_b, szi_b, sxi_b = _cmf_quad_once(theta, x1, x2, vb, pb, 20, shift)
-        sz = szi_b / zi_b
-        sx = sxi_b / zi_b
-        err = max(abs(sz - szi_a / zi_a), abs(sx - sxi_a / zi_a),
-                  abs(zi_b - zi_a) / abs(zi_b))
-        if err < tol:
-            # the 1/(4pi) normalization plus the factor 2 from phi folding
-            z = math.exp(shift) * zi_b * 2.0 / (4.0 * math.pi) \
-                if shift < 700 else math.inf
-            return ClassicalMoments(z_part=z, sz=sz, sx=sx, quad_err=err)
-        prev = (sz, sx, err)
-        vb = _split_panels(vb)
-        pb = _split_panels(pb)
-    raise QuadratureNotConverged(
-        f"sphere quadrature not converged: err={prev[2]:.3e} after "
-        f"{max_rounds} refinement rounds"
-    )
-
-
-def _split_panels(breaks: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    return np.sort(np.concatenate([breaks, mids]))
+    breaks = _bath_panels(x1, x2)
+    (lz_a, sz_a, sx_a), (lz, sz, sx) = (
+        _bath_average(theta, x1, x2, *_panel_nodes(breaks, rule))
+        for rule in _RULES)
+    err = max(abs(sz - sz_a), abs(sx - sx_a))
+    z = math.inf
+    if lz + x2 < 709.0:
+        # Z's error counts only where Z is finite: beyond, the log-weights
+        # are large enough that their rounding alone exceeds tol
+        z = math.exp(lz + x2)
+        err = max(err, abs(math.expm1(lz - lz_a)))
+    if not err < tol:
+        raise QuadratureNotConverged(
+            f"bath-coordinate quadrature not converged: err={err:.3e} "
+            f"at x1={x1:.6g}, x2={x2:.6g}")
+    return ClassicalMoments(z_part=z, sz=sz, sx=sx, quad_err=err)
 
 
 # ---------------------------------------------------------------------------
@@ -323,27 +336,28 @@ def cmf_wk_expectations(params: ModelParams) -> ClassicalMoments:
     return ClassicalMoments(z_part=gibbs.z_part, sz=sz, sx=sx)
 
 
-def cl_us_expectations(params: ModelParams) -> ClassicalMoments:
-    """Ultrastrong (Q -> inf) closed forms.
-
-    sz = cos(theta) tanh(x cos(theta)), sx = -sin(theta) tanh(x cos(theta)),
-    x = beta*omega_l*S0.  The sign of sx follows the minus-x alignment of
-    the mean-force distribution.
-    """
-    theta = params.theta
-    x = params.beta * params.omega_l * params.s0
-    ct = math.cos(theta)
+def _us_tanh(params: ModelParams) -> float:
+    ct = math.cos(params.theta)
     if abs(ct) < 1e-12:
-        t = 0.0
-    elif math.isinf(x):
-        t = 1.0 if ct > 0 else 0.0
-    else:
-        t = math.tanh(x * ct)
-    return ClassicalMoments(
-        z_part=math.nan,
-        sz=math.cos(theta) * t,
-        sx=-math.sin(theta) * t,
-    )
+        # transverse coupling: both S_theta branches equally populated
+        return 0.0
+    if math.isinf(params.beta):
+        return 1.0 if ct > 0 else 0.0
+    return math.tanh(params.beta * params.omega_l * params.s0 * ct)
+
+
+def us_expectations(params: ModelParams) -> SpinExpectation:
+    """Ultrastrong (Q -> inf) spin expectations, shared by the quantum and
+    classical treatments: sz = cos(theta) tanh(beta*omega_l*S0*cos(theta)),
+    sx = -sin(theta) times the same tanh.  The sign of sx follows the
+    minus-x alignment of the mean-force distribution."""
+    t = _us_tanh(params)
+    return SpinExpectation(sz=math.cos(params.theta) * t,
+                           sx=-math.sin(params.theta) * t,
+                           method="us")
+
+
+cl_us_expectations = us_expectations
 
 
 # ---------------------------------------------------------------------------

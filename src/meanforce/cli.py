@@ -26,7 +26,6 @@ from .cache import ResultCache, canonical_key, default_cache_dir
 from .classical import (
     QuadratureNotConverged,
     cl_gibbs_stats,
-    cl_us_expectations,
     cmf_expectations,
     cmf_logweight,
     cmf_wk_expectations,
@@ -232,13 +231,11 @@ def _eval_method(method: str, params: ModelParams, args) -> SpinExpectation:
                                sx_err=m.quad_err, method=method)
     if method == "cmf-wk":
         return cmf_wk_expectations(params)
-    if method == "cmf-us":
-        return cl_us_expectations(params)
     if method == "qmf-wk":
         return qmf_wk_expectations(params)
     if method == "qmf-rc":
         return rc_expectations(rc_mf_state(params))
-    if method == "qmf-us":
+    if method in ("cmf-us", "qmf-us"):
         return us_expectations(params)
     if method == "cdyn":
         cfg = _sim_config(args, params)

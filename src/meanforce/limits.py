@@ -17,12 +17,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classical import cl_gibbs_stats, cmf_expectations
+from .classical import _us_tanh, cl_gibbs_stats, cmf_expectations, us_expectations
 from .model import LorentzianBath, ModelParams, alpha_scaling
 from .qrc import rc_expectations, rc_mf_state
 from .qspin import qu_gibbs_stats, spin_operators
 from .qweak import qmf_wk_expectations
-from .results import SpinExpectation, SweepTable
+from .results import SweepTable
 
 __all__ = [
     "UsState",
@@ -38,26 +38,6 @@ class UsState:
     rho: np.ndarray
     sz: float
     sx: float
-
-
-def _us_tanh(params: ModelParams) -> float:
-    ct = math.cos(params.theta)
-    if abs(ct) < 1e-12:
-        # transverse coupling: both S_theta branches equally populated
-        return 0.0
-    if math.isinf(params.beta):
-        return 1.0 if ct > 0 else 0.0
-    return math.tanh(params.beta * params.omega_l * params.s0 * ct)
-
-
-def us_expectations(params: ModelParams) -> SpinExpectation:
-    """Ultrastrong (Q -> inf) spin expectations, shared by the quantum and
-    classical treatments: sz = cos(theta) tanh(beta*omega_l*S0*cos(theta)),
-    sx = -sin(theta) times the same tanh."""
-    t = _us_tanh(params)
-    return SpinExpectation(sz=math.cos(params.theta) * t,
-                           sx=-math.sin(params.theta) * t,
-                           method="us")
 
 
 def us_quantum_state(params: ModelParams) -> UsState:

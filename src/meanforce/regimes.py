@@ -4,7 +4,7 @@ A point (zeta, T) is labeled by which approximation reproduces the exact
 mean-force expectations within tolerance: UW (bare Gibbs), WK (second-order),
 US (infinite-coupling projection), otherwise IM.  Precedence UW > WK > US
 when several pass.  The exact backend is the reaction-coordinate solver for
-the quantum flavor and sphere quadrature for the classical one.
+the quantum flavor and the bath-coordinate integral for the classical one.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classical import cl_gibbs_stats, cmf_expectations, cmf_wk_expectations, \
-    cl_us_expectations
+from .classical import cl_gibbs_stats, cmf_expectations, cmf_wk_expectations
 from .limits import us_expectations
 from .model import LorentzianBath, ModelParams, beta_from_t_half
 from .qrc import rc_expectations, rc_mf_state

@@ -107,10 +107,11 @@ def test_cmf_scaling_invariance_is_exact():
     # (S0, beta, Q) -> (k S0, beta/k, Q/k) leaves the state untouched
     base = make_params(zeta_val=2.0, beta=1.4, n=1)
     m1 = cmf_expectations(base)
-    scaled = make_params(zeta_val=2.0, beta=1.4 / 4.0, n=4)
-    m2 = cmf_expectations(scaled)
-    assert m2.sz == m1.sz
-    assert m2.sx == m1.sx
+    for n in (4, 2000):
+        scaled = make_params(zeta_val=2.0, beta=1.4 / n, n=n)
+        m2 = cmf_expectations(scaled)
+        assert m2.sz == m1.sz
+        assert m2.sx == m1.sx
 
 
 def test_cmf_zero_temperature_closed_form():
@@ -136,8 +137,73 @@ def test_cmf_zero_temperature_degenerate_pair():
     assert m.sx == pytest.approx(0.0, abs=1e-8)
 
 
+def _zero_temperature_reference(theta, zeta):
+    """(sz, sx) at T = 0 from the 40-digit roots of
+    g'(psi) = -sin(psi) - zeta sin(2 (psi + theta)), averaged over the
+    global maxima of g(psi) = cos(psi) + zeta cos^2(psi + theta)."""
+    mp = pytest.importorskip("mpmath")
+    zeta = mp.mpf(zeta)
+
+    def dg(p):
+        return -mp.sin(p) - zeta * mp.sin(2 * (p + theta))
+
+    def g(p):
+        return mp.cos(p) + zeta * mp.cos(p + theta) ** 2
+
+    with mp.workdps(40):
+        grid = [mp.pi * (k - 1000) / 1000 for k in range(2001)]
+        signs = [dg(p) for p in grid]
+        roots = [mp.findroot(dg, (grid[k], grid[k + 1]), solver="anderson")
+                 for k in range(2000) if signs[k] > 0 >= signs[k + 1]]
+        best = max(g(p) for p in roots)
+        kept = [p for p in roots if g(p) > best - mp.mpf(10) ** -30]
+        return (float(sum(mp.cos(p) for p in kept) / len(kept)),
+                float(sum(mp.sin(p) for p in kept) / len(kept)))
+
+
+@pytest.mark.parametrize("k12", [1, 3, 5, 6])
+@pytest.mark.parametrize("zeta_val", [0.01, 0.1, 1.0, 8.0, 200.0])
+def test_cmf_zero_temperature_matches_mpmath_roots(k12, zeta_val):
+    # theta = k12 * pi/12, exact in the reference; theta = pi/2 with
+    # zeta > 1/2 is a degenerate pair
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        theta = mp.pi * k12 / 12
+    sz, sx = _zero_temperature_reference(theta, zeta_val)
+    m = cmf_expectations(make_params(theta=math.pi * k12 / 12,
+                                     zeta_val=zeta_val, beta=math.inf))
+    assert m.sz == pytest.approx(sz, abs=1e-12)
+    assert m.sx == pytest.approx(sx, abs=1e-12)
+
+
+@pytest.mark.parametrize("zeta_val, sz", [(2.0, 0.25), (0.5, 1.0)])
+def test_cmf_zero_temperature_transverse_special_points(zeta_val, sz):
+    # theta = pi/2: zeta = 2 is the pair cos(psi) = 1/(2 zeta); zeta = 1/2
+    # is the flat maximum g = 1 - psi^4/8 at psi = 0, exactly (1, 0)
+    m = cmf_expectations(make_params(theta=math.pi / 2, zeta_val=zeta_val,
+                                     beta=math.inf))
+    assert m.sz == pytest.approx(sz, abs=1e-12)
+    assert m.sx == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cmf_edge_values():
+    # beta = 0: the uniform sphere
+    m = cmf_expectations(make_params(beta=0.0))
+    assert (m.sz, m.sx, m.z_part) == (0.0, 0.0, 1.0)
+    # Q = 0: the bare Gibbs state
+    assert cmf_expectations(make_params(zeta_val=0.0)) == cl_gibbs_stats(1.0)
+    # theta = 0: no transverse component at all
+    assert cmf_expectations(make_params(theta=0.0, zeta_val=3.0)).sx == 0.0
+    # x2 = 1e8 (beta = 2, Q = 2e8): converged, and at the ultrastrong limit
+    p = make_params(zeta_val=1e8, beta=2.0)
+    m = cmf_expectations(p)
+    us = cl_us_expectations(p)
+    assert m.quad_err < 1e-10
+    assert abs(m.sz - us.sz) < 1e-6 and abs(m.sx - us.sx) < 1e-6
+
+
 def test_cmf_extreme_arguments_converge():
-    # very cold and very strongly coupled points stress the graded panels
+    # very cold and very strongly coupled points stress the quadrature panels
     m = cmf_expectations(make_params(zeta_val=50.0, beta=40.0))
     assert m.quad_err < 1e-10
     assert -1.0 <= m.sz <= 1.0 and -1.0 <= m.sx <= 1.0

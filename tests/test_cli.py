@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import meanforce.cli as cli
 from meanforce.cache import ResultCache, canonical_key
@@ -175,6 +176,24 @@ def test_density_map_runs(tmp_path):
     assert len(lines) == 1 + 7 * 9
     dens = [float(ln.split(",")[2]) for ln in lines[1:]]
     assert min(dens) > 0.0
+
+
+def test_density_map_is_normalised(tmp_path):
+    # the sphere average of tau_mf is 1: this checks z_part, which the
+    # density map divides by; the trapezoid rule is good to about 4e-5 here
+    out = tmp_path / "d.csv"
+    assert run(["density-map", "--theta", "pi/4", "--alpha", "1",
+                "--t-spin", "1", "--v-count", "181", "--phi-count", "361",
+                "--no-cache", "--output", str(out)]) == 0
+    lines = [ln for ln in out.read_text().strip().split("\n")
+             if not ln.startswith("#")]
+    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    v = data[::361, 0]
+    phi = data[:361, 1]
+    tau = data[:, 2].reshape(181, 361)
+    ring = trapezoid(tau, phi, axis=1)
+    total = trapezoid(ring * np.sin(v), v) / (4.0 * math.pi)
+    assert total == pytest.approx(1.0, abs=1e-4)
 
 
 def test_density_map_rejects_zero_temperature(tmp_path):
