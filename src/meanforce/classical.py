@@ -308,7 +308,7 @@ def cmf_expectations(params: ModelParams, tol: float = 1e-10) -> ClassicalMoment
 # Closed-form limits
 
 
-def cmf_wk_expectations(params: ModelParams) -> ClassicalMoments:
+def cmf_wk_expectations(params: ModelParams) -> SpinExpectation:
     """Second-order (weak-coupling) CMF closed forms in scaled temperature.
 
     sz = L(x) + (zeta/2)(1+3cos2theta)[csch^2 x + coth(x)/x - 2/x^2]
@@ -332,8 +332,7 @@ def cmf_wk_expectations(params: ModelParams) -> ClassicalMoments:
         lang = coth - 1.0 / x
     sz = lang + 0.5 * zt * (1.0 + 3.0 * math.cos(2.0 * theta)) * b1
     sx = -zt * math.sin(2.0 * theta) * b2
-    gibbs = cl_gibbs_stats(x)
-    return ClassicalMoments(z_part=gibbs.z_part, sz=sz, sx=sx)
+    return SpinExpectation(sz=sz, sx=sx, method="cmf_wk")
 
 
 def _us_tanh(params: ModelParams) -> float:

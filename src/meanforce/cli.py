@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
@@ -23,29 +24,21 @@ import numpy as np
 
 from . import __version__
 from .cache import ResultCache, canonical_key, default_cache_dir
-from .classical import (
-    QuadratureNotConverged,
-    cl_gibbs_stats,
-    cmf_expectations,
-    cmf_logweight,
-    cmf_wk_expectations,
-)
+from .classical import QuadratureNotConverged, cmf_expectations, cmf_logweight
 from .dynamics import SimConfig, simulate_steady
-from .limits import correspondence_sweep, us_expectations
+from .limits import correspondence_sweep
 from .model import (
     LorentzianBath,
     ModelParams,
     beta_from_t_half,
     beta_from_t_spin,
 )
-from .qrc import RcNotConverged, rc_expectations, rc_mf_state
-from .qspin import qu_gibbs_stats
-from .qweak import qmf_wk_expectations
+from .qrc import RcNotConverged
 from .regimes import CLASSIFY_FLOOR, DEFAULT_TOL, find_boundary, regime_atlas
-from .results import SpinExpectation, SweepTable
+from .results import SweepTable
+from .solvers import SOLVERS
 
-METHODS = ("cgibbs", "qgibbs", "cmf", "cmf-wk", "cmf-us",
-           "qmf-wk", "qmf-rc", "qmf-us", "cdyn")
+METHODS = (*SOLVERS, "cdyn")
 
 _PI_TOKEN = re.compile(r"^(\d*)\s*pi\s*(?:/\s*(\d+))?$")
 
@@ -218,31 +211,6 @@ def _model_params(args, q: float, beta: float) -> ModelParams:
                        bath=bath, beta=beta)
 
 
-def _eval_method(method: str, params: ModelParams, args) -> SpinExpectation:
-    if method == "cgibbs":
-        m = cl_gibbs_stats(params.beta * params.omega_l * params.s0)
-        return SpinExpectation(sz=m.sz, sx=0.0, method=method)
-    if method == "qgibbs":
-        g = qu_gibbs_stats(params.beta, params.n, params.omega_l)
-        return SpinExpectation(sz=g.m1 / params.s0, sx=0.0, method=method)
-    if method == "cmf":
-        m = cmf_expectations(params)
-        return SpinExpectation(sz=m.sz, sx=m.sx, sz_err=m.quad_err,
-                               sx_err=m.quad_err, method=method)
-    if method == "cmf-wk":
-        return cmf_wk_expectations(params)
-    if method == "qmf-wk":
-        return qmf_wk_expectations(params)
-    if method == "qmf-rc":
-        return rc_expectations(rc_mf_state(params))
-    if method in ("cmf-us", "qmf-us"):
-        return us_expectations(params)
-    if method == "cdyn":
-        cfg = _sim_config(args, params)
-        return simulate_steady(params, cfg)
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def _sim_config(args, params: ModelParams) -> SimConfig:
     dt = getattr(args, "dt", None)
     if dt is None:
@@ -285,16 +253,19 @@ def _echo_metadata(args, command: str) -> dict:
     return meta
 
 
-def _spin_cell(args, command, method, params, cache, extra):
-    """Cached (sz, sx, sz_err, sx_err) for one grid cell."""
-    key = canonical_key(_cache_payload(args, command, method, params, extra))
+def _cached(cache, payload: dict, compute):
+    """The cached value for payload, computed and stored on a miss."""
+    key = canonical_key(payload)
     hit = cache.get(key)
     if hit is not None:
-        return tuple(hit)
-    e = _eval_method(method, params, args)
-    value = (e.sz, e.sx, e.sz_err, e.sx_err)
-    cache.put(key, list(value))
+        return hit
+    value = compute()
+    cache.put(key, value)
     return value
+
+
+def _spin_row(e) -> list:
+    return [e.sz, e.sx, e.sz_err, e.sx_err]
 
 
 def _run_sweep(args, cache, command: str) -> SweepTable:
@@ -323,12 +294,14 @@ def _run_sweep(args, cache, command: str) -> SweepTable:
 
     def work(cell):
         val, m, params = cell
-        extra = {"seed": args.seed} if m == "cdyn" else {}
         if m == "cdyn":
             cfg = _sim_config(args, params)
-            extra.update(dt=cfg.dt, t_burn=cfg.t_burn, t_sample=cfg.t_sample,
-                         stride=cfg.stride, ensemble=cfg.ensemble)
-        return _spin_cell(args, command, m, params, cache, extra)
+            payload = _cache_payload(args, command, m, params,
+                                     dataclasses.asdict(cfg))
+            return _cached(cache, payload,
+                           lambda: _spin_row(simulate_steady(params, cfg)))
+        payload = _cache_payload(args, command, m, params, {})
+        return _cached(cache, payload, lambda: _spin_row(SOLVERS[m](params)))
 
     results = _fan_out(work, cells, args.workers)
     for (val, m, _), (sz, sx, sze, sxe) in zip(cells, results):
@@ -362,16 +335,10 @@ def _run_regimes(args, cache) -> SweepTable:
                    "omega_l": args.omega_l, "omega_0": args.omega_0,
                    "gamma_w": args.gamma_w, "tol": args.regime_tol,
                    "floor": args.floor}
-        key = canonical_key(payload)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        z = find_boundary(t_half, args.theta_rad, approx, flavor=args.flavor,
-                          tol=args.regime_tol, n=args.n,
-                          omega_l=args.omega_l, omega_0=args.omega_0,
-                          gamma_w=args.gamma_w, floor=args.floor)
-        cache.put(key, z)
-        return z
+        return _cached(cache, payload, lambda: find_boundary(
+            t_half, args.theta_rad, approx, flavor=args.flavor,
+            tol=args.regime_tol, n=args.n, omega_l=args.omega_l,
+            omega_0=args.omega_0, gamma_w=args.gamma_w, floor=args.floor))
 
     for t_half in t_grid:
         table.append(t_half, boundary(t_half, "UW"), boundary(t_half, "WK"),
@@ -408,19 +375,11 @@ def _run_dynamics(args, cache) -> SweepTable:
     for i, t_half in enumerate(t_vals):
         params = _model_params(args, q, beta_from_t_half(t_half, args.omega_l))
         cfg = _sim_config(args, params)
-        extra = dict(seed=args.seed, dt=cfg.dt, t_burn=cfg.t_burn,
-                     t_sample=cfg.t_sample, stride=cfg.stride,
-                     ensemble=cfg.ensemble)
-        key = canonical_key(_cache_payload(args, "dynamics", "cdyn", params, extra))
-        hit = cache.get(key)
-        if hit is not None:
-            table.append(t_half, *hit)
-            continue
+        payload = _cache_payload(args, "dynamics", "cdyn", params,
+                                 dataclasses.asdict(cfg))
         traj = args.trajectory if (args.trajectory and i == 0) else None
-        e = simulate_steady(params, cfg, trajectory_path=traj)
-        value = (e.sz, e.sx, e.sz_err, e.sx_err)
-        cache.put(key, list(value))
-        table.append(t_half, *value)
+        table.append(t_half, *_cached(cache, payload, lambda: _spin_row(
+            simulate_steady(params, cfg, trajectory_path=traj))))
     return table
 
 

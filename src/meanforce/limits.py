@@ -17,12 +17,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classical import _us_tanh, cl_gibbs_stats, cmf_expectations, us_expectations
+from .classical import _us_tanh, us_expectations
 from .model import LorentzianBath, ModelParams, alpha_scaling
-from .qrc import rc_expectations, rc_mf_state
 from .qspin import qu_gibbs_stats, spin_operators
-from .qweak import qmf_wk_expectations
 from .results import SweepTable
+from .solvers import SOLVERS
 
 __all__ = [
     "UsState",
@@ -90,7 +89,8 @@ def correspondence_sweep(alpha: float, theta: float,
     Emits quantum (sz, sx) per (n, beta') plus the shared classical CMF row
     (n recorded as 0), and a max-deviation summary per n in the metadata.
     """
-    if method not in ("WK", "RC"):
+    quantum = {"WK": "qmf-wk", "RC": "qmf-rc"}.get(method)
+    if quantum is None:
         raise ValueError("method must be WK or RC")
     n_list = list(n_list)
     table = SweepTable(
@@ -105,7 +105,7 @@ def correspondence_sweep(alpha: float, theta: float,
         p = ModelParams(n=2, omega_l=omega_l, theta=theta,
                         bath=LorentzianBath.from_q(q, omega_0, gamma_w),
                         beta=bp)
-        c = cmf_expectations(p)
+        c = SOLVERS["cmf"](p)
         classical[bp] = c
         table.append(0, bp, c.sz, c.sx)
     for n in n_list:
@@ -116,10 +116,7 @@ def correspondence_sweep(alpha: float, theta: float,
         for bp in beta_prime_grid:
             p = ModelParams(n=n, omega_l=omega_l, theta=theta, bath=bath,
                             beta=bp / s0)
-            if method == "WK":
-                e = qmf_wk_expectations(p)
-            else:
-                e = rc_expectations(rc_mf_state(p))
+            e = SOLVERS[quantum](p)
             table.append(n, bp, e.sz, e.sx)
             c = classical[bp]
             dev = max(dev, abs(e.sz - c.sz), abs(e.sx - c.sx))

@@ -10,6 +10,7 @@ doubled until the spin observables stop moving.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -108,15 +109,7 @@ def _log_z(h: np.ndarray, beta: float) -> float:
     return float(logsumexp(-beta * evals))
 
 
-_rc_cache: dict = {}
-
-
-def _cache_key(params: ModelParams, tol: float, n_max: int):
-    b = params.bath
-    return (params.n, params.omega_l, params.theta, params.beta,
-            b.a_lor, b.omega_0, b.gamma_w, tol, n_max)
-
-
+@functools.lru_cache(maxsize=256)
 def rc_mf_state(params: ModelParams, tol: float = 1e-6,
                 n_max: int = 2048) -> RcResult:
     """Spin-reduced thermal state of the spin + reaction-coordinate system.
@@ -126,15 +119,12 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
     the doubling test is meaningful) and doubles until both spin observables
     move by less than tol, raising RcNotConverged past n_max.
     Also reports z_mf = tr exp(-beta H) / tr exp(-beta Omega a^dag a), the
-    mean-force partition function (None at beta = inf).
+    mean-force partition function (None at beta = inf, inf past the float
+    range).  The last 256 results are memoised; the regime scans revisit
+    the same couplings once per approximation.
     """
     if not isinstance(params.bath, LorentzianBath):
         raise TypeError("reaction-coordinate mapping requires a Lorentzian bath")
-    key = _cache_key(params, tol, n_max)
-    hit = _rc_cache.get(key)
-    if hit is not None:
-        return hit
-
     so = spin_operators(params.n)
     d_spin = params.n + 1
     beta = params.beta
@@ -162,11 +152,10 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
             if not math.isinf(beta):
                 log_zr = float(logsumexp(-beta * rc.omega_rc
                                          * np.arange(n_levels)))
-                z_mf = math.exp(_log_z(h, beta) - log_zr)
-            result = RcResult(rho=rho, n_used=n_levels, converged=True,
-                              z_mf=z_mf)
-            _rc_cache[key] = result
-            return result
+                log_z_mf = _log_z(h, beta) - log_zr
+                z_mf = math.exp(log_z_mf) if log_z_mf < 709.0 else math.inf
+            return RcResult(rho=rho, n_used=n_levels, converged=True,
+                            z_mf=z_mf)
         prev = (sz, sx)
         n_levels *= 2
     raise RcNotConverged(
@@ -186,4 +175,5 @@ def rc_expectations(result: RcResult, ops=None) -> SpinExpectation:
     sx = float(np.trace(result.rho @ ops.sx).real) / s0
     sy = float(np.trace(result.rho @ ops.sy).real) / s0
     return SpinExpectation(sz=sz, sx=sx, sy=sy, method="rc",
-                           converged=result.converged)
+                           converged=result.converged,
+                           n_rc_used=result.n_used)

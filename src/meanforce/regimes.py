@@ -3,27 +3,26 @@
 A point (zeta, T) is labeled by which approximation reproduces the exact
 mean-force expectations within tolerance: UW (bare Gibbs), WK (second-order),
 US (infinite-coupling projection), otherwise IM.  Precedence UW > WK > US
-when several pass.  The exact backend is the reaction-coordinate solver for
-the quantum flavor and the bath-coordinate integral for the classical one.
+when several pass.  FLAVORS names, per flavor, the entries of the method
+table (solvers.SOLVERS) for the exact state and its three approximations.
+The exact solver is the reaction coordinate for the quantum flavor and the
+bath-coordinate integral for the classical one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .classical import cl_gibbs_stats, cmf_expectations, cmf_wk_expectations
-from .limits import us_expectations
-from .model import LorentzianBath, ModelParams, beta_from_t_half
-from .qrc import rc_expectations, rc_mf_state
-from .qspin import qu_gibbs_stats
-from .qweak import qmf_wk_expectations
+from .model import LorentzianBath, ModelParams, beta_from_t_half, t_half_from_beta
 from .results import SpinExpectation, SweepTable
+from .solvers import SOLVERS
 
 __all__ = [
+    "FLAVORS",
     "RegimePoint",
     "approx_error",
     "classify_point",
@@ -42,6 +41,14 @@ DEFAULT_OMEGA_0 = 7.0
 DEFAULT_GAMMA_W = 0.2
 _SCAN_LO, _SCAN_HI = 1e-3, 1e4
 _POINTS_PER_DECADE = 12
+
+# (exact, UW, WK, US) solver names per flavor, and each approximation's
+# position in those tuples
+FLAVORS = {
+    "quantum": ("qmf-rc", "qgibbs", "qmf-wk", "qmf-us"),
+    "classical": ("cmf", "cgibbs", "cmf-wk", "cmf-us"),
+}
+_APPROX = {"UW": 1, "WK": 2, "US": 3}
 
 
 @dataclass(frozen=True)
@@ -68,40 +75,20 @@ def approx_error(exact: SpinExpectation, approx: SpinExpectation,
     return max(ez, ex)
 
 
-def _gibbs_expectation(params: ModelParams, flavor: str) -> SpinExpectation:
-    if flavor == "quantum":
-        g = qu_gibbs_stats(params.beta, params.n, params.omega_l)
-        return SpinExpectation(sz=g.m1 / params.s0, sx=0.0, method="qgibbs")
-    g = cl_gibbs_stats(params.beta * params.omega_l * params.s0)
-    return SpinExpectation(sz=g.sz, sx=0.0, method="cgibbs")
-
-
-def _wk_expectation(params: ModelParams, flavor: str) -> SpinExpectation:
-    if flavor == "quantum":
-        return qmf_wk_expectations(params)
-    m = cmf_wk_expectations(params)
-    return SpinExpectation(sz=m.sz, sx=m.sx, method="cmf_wk")
-
-
-def _exact_expectation(params: ModelParams, flavor: str):
-    """Returns (SpinExpectation, n_rc_used, backend_name)."""
-    if flavor == "quantum":
-        res = rc_mf_state(params)
-        return rc_expectations(res), res.n_used, "rc"
-    m = cmf_expectations(params)
-    return SpinExpectation(sz=m.sz, sx=m.sx, method="cmf"), 0, "cmf"
+def _flavor_methods(flavor: str) -> tuple:
+    try:
+        return FLAVORS[flavor]
+    except KeyError:
+        raise ValueError("flavor must be quantum or classical") from None
 
 
 def classify_point(params: ModelParams, flavor: str = "quantum",
                    tol: float = DEFAULT_TOL,
                    floor: float = CLASSIFY_FLOOR) -> RegimePoint:
-    if flavor not in ("quantum", "classical"):
-        raise ValueError("flavor must be quantum or classical")
-    exact, n_rc, backend = _exact_expectation(params, flavor)
-    err_uw = approx_error(exact, _gibbs_expectation(params, flavor), floor)
-    err_wk = approx_error(exact, _wk_expectation(params, flavor), floor)
-    us = us_expectations(params)
-    err_us = approx_error(exact, us, floor)
+    exact_m, *approx_m = _flavor_methods(flavor)
+    exact = SOLVERS[exact_m](params)
+    err_uw, err_wk, err_us = (approx_error(exact, SOLVERS[m](params), floor)
+                              for m in approx_m)
     if err_uw < tol:
         label = "UW"
     elif err_wk < tol:
@@ -110,12 +97,11 @@ def classify_point(params: ModelParams, flavor: str = "quantum",
         label = "US"
     else:
         label = "IM"
-    t_half = 2.0 / (params.beta * params.omega_l) if params.beta > 0 else math.inf
-    if math.isinf(params.beta):
-        t_half = 0.0
-    return RegimePoint(zeta=params.zeta, t_half=t_half, err_uw=err_uw,
-                       err_wk=err_wk, err_us=err_us, label=label,
-                       n_rc_used=n_rc, backend=backend)
+    return RegimePoint(zeta=params.zeta,
+                       t_half=t_half_from_beta(params.beta, params.omega_l),
+                       err_uw=err_uw, err_wk=err_wk, err_us=err_us,
+                       label=label, n_rc_used=exact.n_rc_used,
+                       backend=exact.method)
 
 
 def _params_at(zeta_val: float, t_half: float, theta: float, n: int,
@@ -129,17 +115,12 @@ def _params_at(zeta_val: float, t_half: float, theta: float, n: int,
 
 def _boundary_error(zeta_val, t_half, theta, n, flavor, approx,
                     omega_l, omega_0, gamma_w, floor):
-    p = _params_at(zeta_val, t_half, theta, n, omega_l, omega_0, gamma_w)
-    exact, _, _ = _exact_expectation(p, flavor)
-    if approx == "UW":
-        a = _gibbs_expectation(p, flavor)
-    elif approx == "WK":
-        a = _wk_expectation(p, flavor)
-    elif approx == "US":
-        a = us_expectations(p)
-    else:
+    if approx not in _APPROX:
         raise ValueError("approx must be UW, WK or US")
-    return approx_error(exact, a, floor)
+    methods = _flavor_methods(flavor)
+    p = _params_at(zeta_val, t_half, theta, n, omega_l, omega_0, gamma_w)
+    exact = SOLVERS[methods[0]](p)
+    return approx_error(exact, SOLVERS[methods[_APPROX[approx]]](p), floor)
 
 
 def find_boundary(t_half: float, theta: float, approx: str,

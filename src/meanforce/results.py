@@ -14,7 +14,8 @@ class SpinExpectation:
 
     sz, sx are <Sz>/S0 and <Sx>/S0; sy is kept only as a diagnostic (it is
     zero for every method in this package).  sz_err/sx_err are statistical
-    or quadrature error estimates where available, otherwise 0.
+    or quadrature error estimates where available, otherwise 0.  n_rc_used
+    is the oscillator cutoff of a reaction-coordinate solve, otherwise 0.
     """
 
     sz: float
@@ -24,6 +25,7 @@ class SpinExpectation:
     sx_err: float = 0.0
     method: str = ""
     converged: bool = True
+    n_rc_used: int = 0
 
 
 def format_sig(x, digits: int = 12) -> str:

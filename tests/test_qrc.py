@@ -90,12 +90,14 @@ def test_rc_transverse_coupling_has_no_cold_coherence_along_x():
 
 
 def test_rc_approaches_ultrastrong_limit():
-    p = make_params(zeta_val=100.0, beta=math.inf)
-    e = rc_expectations(rc_mf_state(p))
-    us = us_expectations(p)
-    assert abs(e.sz - us.sz) < 1e-2
-    assert abs(e.sx - us.sx) < 1e-2
-    assert e.sx < 0.0
+    # beta = 2, Q = 1500 puts log z_mf past the float range
+    for zeta_val, beta in ((100.0, math.inf), (750.0, 2.0)):
+        p = make_params(zeta_val=zeta_val, beta=beta)
+        e = rc_expectations(rc_mf_state(p))
+        us = us_expectations(p)
+        assert abs(e.sz - us.sz) < 1e-2
+        assert abs(e.sx - us.sx) < 1e-2
+        assert e.sx < 0.0
 
 
 def test_rc_state_invariants_and_zmf():
@@ -110,6 +112,14 @@ def test_rc_state_invariants_and_zmf():
     assert res.z_mf is not None and res.z_mf > 0.0
     # the mean-force partition function is not reported at T = 0
     assert rc_mf_state(p.with_beta(math.inf)).z_mf is None
+
+
+def test_rc_memo_is_bounded_and_returns_the_same_result():
+    p = make_params(zeta_val=0.3, beta=1.5)
+    first = rc_mf_state(p)
+    assert rc_mf_state(p) is first
+    assert rc_mf_state.cache_info().maxsize is not None
+    assert rc_expectations(first).n_rc_used == first.n_used
 
 
 def test_rc_not_converged_raises():

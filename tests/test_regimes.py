@@ -7,12 +7,14 @@ import pytest
 from meanforce.model import LorentzianBath, ModelParams
 from meanforce.regimes import (
     CLASSIFY_FLOOR,
+    FLAVORS,
     approx_error,
     classify_point,
     find_boundary,
     regime_atlas,
 )
 from meanforce.results import SpinExpectation
+from meanforce.solvers import SOLVERS
 
 
 def test_approx_error_metric():
@@ -72,6 +74,8 @@ def test_boundary_rejects_missing_crossing():
                       scan_lo=1e-3, scan_hi=1e-2)
     with pytest.raises(ValueError):
         find_boundary(0.0, math.pi / 4, "XX", flavor="classical")
+    with pytest.raises(ValueError):
+        find_boundary(0.0, math.pi / 4, "WK", flavor="quantun")
 
 
 def test_atlas_classical():
@@ -92,3 +96,26 @@ def test_atlas_records_cell_failures_in_row():
     table = regime_atlas(math.pi / 4, [1.0], [1.0], flavor="quantum", n=1300)
     assert len(table.rows) == 1
     assert table.rows[0][5].startswith("ERR:")
+
+
+@pytest.mark.parametrize("flavor", sorted(FLAVORS))
+def test_flavor_solvers_at_edge_values(flavor):
+    exact, gibbs, wk, _ = FLAVORS[flavor]
+
+    def solve(zeta_val, beta, theta=math.pi / 4):
+        p = ModelParams(n=1, omega_l=1.0, theta=theta,
+                        bath=LorentzianBath.from_q(2.0 * zeta_val, 7.0, 0.2),
+                        beta=beta)
+        return {m: SOLVERS[m](p) for m in FLAVORS[flavor]}
+
+    for m, e in solve(1.0, 0.0).items():
+        assert abs(e.sz) <= 1e-12 and abs(e.sx) <= 1e-12, m
+    for m, e in solve(1.0, 2.0, theta=0.0).items():
+        assert abs(e.sx) <= 1e-12, m
+    for beta in (2.0, math.inf, 0.0):
+        out = solve(0.0, beta)
+        for m in (exact, wk):
+            assert out[m].sz == pytest.approx(out[gibbs].sz, abs=1e-12), (m, beta)
+            assert out[m].sx == pytest.approx(out[gibbs].sx, abs=1e-12), (m, beta)
+    for m, e in solve(1.0, math.inf, theta=math.pi / 2).items():
+        assert math.isfinite(e.sz) and math.isfinite(e.sx), m
