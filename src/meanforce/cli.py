@@ -7,7 +7,9 @@ prefixed log: for geometric spacing.  Results are cached per grid cell in a
 JSONL store keyed by a canonical hash of (command, parameters, tolerances,
 code version); identical reruns are served from the cache byte-identically.
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence.
+Exit codes: 0 success, 2 configuration error, 3 solver non-convergence
+(quadrature, reaction-coordinate cutoff or boundary scan); any other
+exception propagates.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,7 +35,8 @@ from .model import (
     beta_from_t_spin,
 )
 from .qrc import RcNotConverged
-from .regimes import CLASSIFY_FLOOR, DEFAULT_TOL, find_boundary, regime_atlas
+from .regimes import (CLASSIFY_FLOOR, DEFAULT_TOL, BoundaryNotFound,
+                       find_boundary, regime_atlas)
 from .results import SweepTable
 from .solvers import SOLVERS
 
@@ -126,7 +128,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", help="cache directory (or MEANFORCE_CACHE_DIR)")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--tol", type=float, help="solver tolerance override")
 
 
@@ -244,7 +245,7 @@ def _cache_payload(args, command: str, method: str, params: ModelParams,
 
 
 def _echo_metadata(args, command: str) -> dict:
-    skip = {"config", "output", "cache_dir", "no_cache", "workers"}
+    skip = {"config", "output", "cache_dir", "no_cache"}
     meta = {"command": command, "version": __version__}
     for key, val in sorted(vars(args).items()):
         if key in skip or key == "command" or val is None:
@@ -290,30 +291,20 @@ def _run_sweep(args, cache, command: str) -> SweepTable:
     axis = grid[0][0]
     table = SweepTable(columns=(axis, "method", "sz", "sx", "sz_err", "sx_err"),
                        metadata=_echo_metadata(args, command))
-    cells = [(val, m, params) for _, val, params in grid for m in methods]
-
-    def work(cell):
-        val, m, params = cell
-        if m == "cdyn":
-            cfg = _sim_config(args, params)
-            payload = _cache_payload(args, command, m, params,
-                                     dataclasses.asdict(cfg))
-            return _cached(cache, payload,
-                           lambda: _spin_row(simulate_steady(params, cfg)))
-        payload = _cache_payload(args, command, m, params, {})
-        return _cached(cache, payload, lambda: _spin_row(SOLVERS[m](params)))
-
-    results = _fan_out(work, cells, args.workers)
-    for (val, m, _), (sz, sx, sze, sxe) in zip(cells, results):
-        table.append(val, m, sz, sx, sze, sxe)
+    for _, val, params in grid:
+        for m in methods:
+            if m == "cdyn":
+                cfg = _sim_config(args, params)
+                payload = _cache_payload(args, command, m, params,
+                                         dataclasses.asdict(cfg))
+                row = _cached(cache, payload,
+                              lambda: _spin_row(simulate_steady(params, cfg)))
+            else:
+                payload = _cache_payload(args, command, m, params, {})
+                row = _cached(cache, payload,
+                              lambda: _spin_row(SOLVERS[m](params)))
+            table.append(val, m, *row)
     return table
-
-
-def _fan_out(work, cells, workers: int):
-    if workers <= 1 or len(cells) <= 1:
-        return [work(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, cells))
 
 
 def _run_regimes(args, cache) -> SweepTable:
@@ -459,7 +450,7 @@ def run(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureNotConverged, RcNotConverged, RuntimeError) as exc:
+    except (QuadratureNotConverged, RcNotConverged, BoundaryNotFound) as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
 

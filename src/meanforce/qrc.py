@@ -3,9 +3,10 @@
 The Lorentzian reservoir is mapped onto a single harmonic mode (frequency
 Omega = omega_0, coupling lambda = sqrt(Q*omega_0)) that couples to the spin
 through S_theta; the residual bath strength gamma = Gamma/(2*pi*omega_0) is
-reported and dropped.  The spin-reduced Gibbs state of the composite system
-is then computed by dense diagonalization with an oscillator cutoff that is
-doubled until the spin observables stop moving.
+reported and dropped.  The composite Hamiltonian is diagonalized densely,
+once per oscillator cutoff; that one decomposition gives both the
+spin-reduced Gibbs state and ln Z.  The cutoff is doubled until the spin
+observables stop moving.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .model import LorentzianBath, ModelParams
-from .qspin import spin_operators, thermal_state
+from .qspin import gibbs_weights, spin_operators
 from .results import SpinExpectation
 
 __all__ = [
@@ -100,15 +101,6 @@ def rc_hamiltonian(params: ModelParams, rc: RcParams) -> np.ndarray:
     return h
 
 
-def _partial_trace_osc(rho: np.ndarray, d_spin: int, n_osc: int) -> np.ndarray:
-    return rho.reshape(d_spin, n_osc, d_spin, n_osc).trace(axis1=1, axis2=3)
-
-
-def _log_z(h: np.ndarray, beta: float) -> float:
-    evals = np.linalg.eigvalsh(h)
-    return float(logsumexp(-beta * evals))
-
-
 @functools.lru_cache(maxsize=256)
 def rc_mf_state(params: ModelParams, tol: float = 1e-6,
                 n_max: int = 2048) -> RcResult:
@@ -118,6 +110,9 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
     where the cutoff must exceed the thermal occupation of the mode before
     the doubling test is meaningful) and doubles until both spin observables
     move by less than tol, raising RcNotConverged past n_max.
+    Each cutoff costs one eigh: with the eigenvectors scaled by sqrt(w)
+    (w = gibbs_weights) and reshaped spin-major to (n+1, n_levels*dim), the
+    reduced state is V V^T / sum(w), and ln Z = -beta*E0 + ln sum(w).
     Also reports z_mf = tr exp(-beta H) / tr exp(-beta Omega a^dag a), the
     mean-force partition function (None at beta = inf, inf past the float
     range).  The last 256 results are memoised; the regime scans revisit
@@ -137,14 +132,13 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
         while n_levels < 4.0 * n_bar + 10.0 and n_levels < n_max:
             n_levels *= 2
     while n_levels <= n_max:
-        if d_spin * n_levels > _DIM_LIMIT:
-            raise ValueError(
-                f"composite dimension {d_spin * n_levels} exceeds {_DIM_LIMIT}"
-            )
         rc = rc_params(params.bath, n_levels=n_levels)
-        h = rc_hamiltonian(params, rc)
-        rho_full = thermal_state(h, beta)
-        rho = _partial_trace_osc(rho_full, d_spin, n_levels).astype(complex)
+        evals, vecs = np.linalg.eigh(rc_hamiltonian(params, rc))
+        w = gibbs_weights(evals, beta)
+        # in place, and reshaped as a view: no dim x dim temporaries
+        vecs *= np.sqrt(w)
+        v = vecs.reshape(d_spin, -1)
+        rho = (v @ v.T / w.sum()).astype(complex)
         sz = float(np.trace(rho @ so.sz).real)
         sx = float(np.trace(rho @ so.sx).real)
         if prev is not None and abs(sz - prev[0]) < tol and abs(sx - prev[1]) < tol:
@@ -152,7 +146,7 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
             if not math.isinf(beta):
                 log_zr = float(logsumexp(-beta * rc.omega_rc
                                          * np.arange(n_levels)))
-                log_z_mf = _log_z(h, beta) - log_zr
+                log_z_mf = -beta * evals[0] + math.log(w.sum()) - log_zr
                 z_mf = math.exp(log_z_mf) if log_z_mf < 709.0 else math.inf
             return RcResult(rho=rho, n_used=n_levels, converged=True,
                             z_mf=z_mf)

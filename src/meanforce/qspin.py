@@ -17,6 +17,7 @@ __all__ = [
     "spin_operators",
     "QuGibbsStats",
     "qu_gibbs_stats",
+    "gibbs_weights",
     "thermal_state",
 ]
 
@@ -104,22 +105,26 @@ def qu_gibbs_stats(beta: float, n: int, omega_l: float) -> QuGibbsStats:
     return QuGibbsStats(z0=z0, m1=m1, m2=m2, m3=m3)
 
 
-def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta*h)/Z via eigendecomposition with max-shifted exponents.
+def gibbs_weights(evals: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs weights exp(-beta*(E - E0)) of ascending evals, E0 = evals[0],
+    so that ln Z = -beta*E0 + ln(sum of weights).  beta = inf gives 1 on the
+    ground eigenspace (degeneracy tolerance 1e-9 of the span), 0 elsewhere.
+    """
+    if math.isinf(beta):
+        span = float(evals[-1] - evals[0]) or 1.0
+        return (evals <= evals[0] + 1e-9 * span).astype(float)
+    return np.exp(-beta * (evals - evals[0]))
 
-    beta = inf returns the uniform mixture over the ground eigenspace
-    (degeneracy tolerance 1e-9 of the spectral span).
+
+def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta*h)/Z via eigendecomposition and gibbs_weights.
+
+    beta = inf returns the uniform mixture over the ground eigenspace.
     """
     h = np.asarray(h)
     if not np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, float(np.abs(h).max()))):
         raise ValueError("hamiltonian must be Hermitian")
     evals, evecs = np.linalg.eigh(h)
-    if math.isinf(beta):
-        span = float(evals[-1] - evals[0]) or 1.0
-        ground = evals <= evals[0] + 1e-9 * span
-        w = ground.astype(float)
-    else:
-        logw = -beta * (evals - evals[0])
-        w = np.exp(logw)
+    w = gibbs_weights(evals, beta)
     w /= w.sum()
     return (evecs * w[None, :]) @ evecs.conj().T

@@ -22,6 +22,7 @@ from .results import SpinExpectation, SweepTable
 from .solvers import SOLVERS
 
 __all__ = [
+    "BoundaryNotFound",
     "FLAVORS",
     "RegimePoint",
     "approx_error",
@@ -49,6 +50,10 @@ FLAVORS = {
     "classical": ("cmf", "cgibbs", "cmf-wk", "cmf-us"),
 }
 _APPROX = {"UW": 1, "WK": 2, "US": 3}
+
+
+class BoundaryNotFound(RuntimeError):
+    """The error curve does not cross the tolerance in the scan window."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ def find_boundary(t_half: float, theta: float, approx: str,
             break
         prev_z, prev_e = z, e
     if bracket is None:
-        raise RuntimeError(
+        raise BoundaryNotFound(
             f"no {approx} boundary crossing in scan range "
             f"[{scan_lo}, {scan_hi}]"
         )

@@ -9,7 +9,11 @@ from scipy.integrate import trapezoid
 
 import meanforce.cli as cli
 from meanforce.cache import ResultCache, canonical_key
+from meanforce.classical import QuadratureNotConverged
 from meanforce.cli import ConfigError, parse_angle, parse_grid, run
+from meanforce.qrc import RcNotConverged
+from meanforce.regimes import BoundaryNotFound
+from meanforce.solvers import SOLVERS
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +217,27 @@ def test_sweep_coupling_runs(tmp_path):
     assert len(lines) == 1 + 3 * 2
 
 
-def test_workers_give_same_table(tmp_path):
-    a = sweep_args(tmp_path, out="w1.csv")
-    b = sweep_args(tmp_path, out="w2.csv", extra=("--workers", "4"))
-    assert run(a) == 0
-    assert run(b) == 0
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+def _failing_solver(exc):
+    def solver(params):
+        raise exc
+    return solver
+
+
+@pytest.mark.parametrize("exc", [QuadratureNotConverged("q"),
+                                 RcNotConverged("rc"),
+                                 BoundaryNotFound("scan")])
+def test_non_convergence_exits_3(tmp_path, monkeypatch, capsys, exc):
+    monkeypatch.setitem(SOLVERS, "cgibbs", _failing_solver(exc))
+    assert run(sweep_args(tmp_path, extra=("--no-cache",))) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_other_errors_propagate(tmp_path, monkeypatch):
+    # a programming error is not reported as non-convergence
+    monkeypatch.setitem(SOLVERS, "cgibbs",
+                        _failing_solver(NotImplementedError("a bug")))
+    with pytest.raises(NotImplementedError, match="a bug"):
+        run(sweep_args(tmp_path, extra=("--no-cache",)))
 
 
 def test_correspondence_command(tmp_path):

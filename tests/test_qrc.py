@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from meanforce.limits import us_expectations
-from meanforce.model import BareQBath, LorentzianBath, ModelParams
+from meanforce.model import BareQBath, LorentzianBath, ModelParams, beta_from_t_half
 from meanforce.qrc import (
     RcNotConverged,
     RcParams,
@@ -16,7 +17,7 @@ from meanforce.qrc import (
     rc_mf_state,
     rc_params,
 )
-from meanforce.qspin import spin_operators
+from meanforce.qspin import spin_operators, thermal_state
 from meanforce.qweak import qmf_wk_expectations
 
 
@@ -120,6 +121,61 @@ def test_rc_memo_is_bounded_and_returns_the_same_result():
     assert rc_mf_state(p) is first
     assert rc_mf_state.cache_info().maxsize is not None
     assert rc_expectations(first).n_rc_used == first.n_used
+
+
+def _dense_reference(params, tol=1e-6, n_max=2048):
+    """rc_mf_state by the dense route: at each cutoff the full composite
+    thermal state, traced over the oscillator; ln Z from a second,
+    eigenvalue-only decomposition at the converged cutoff."""
+    d_spin = params.n + 1
+    beta = params.beta
+    so = spin_operators(params.n)
+    n_levels = 16
+    if beta > 0 and beta * params.bath.omega_0 < 50.0:
+        n_bar = 1.0 / math.expm1(beta * params.bath.omega_0)
+        while n_levels < 4.0 * n_bar + 10.0 and n_levels < n_max:
+            n_levels *= 2
+    prev = None
+    while n_levels <= n_max:
+        rc = rc_params(params.bath, n_levels=n_levels)
+        h = rc_hamiltonian(params, rc)
+        rho = thermal_state(h, beta).reshape(
+            d_spin, n_levels, d_spin, n_levels).trace(axis1=1, axis2=3)
+        sz = float(np.trace(rho @ so.sz).real)
+        sx = float(np.trace(rho @ so.sx).real)
+        if prev is not None and abs(sz - prev[0]) < tol and abs(sx - prev[1]) < tol:
+            z_mf = None
+            if not math.isinf(beta):
+                log_z_mf = (logsumexp(-beta * np.linalg.eigvalsh(h))
+                            - logsumexp(-beta * rc.omega_rc * np.arange(n_levels)))
+                z_mf = math.exp(log_z_mf) if log_z_mf < 709.0 else math.inf
+            return rho, n_levels, z_mf
+        prev = (sz, sx)
+        n_levels *= 2
+    raise AssertionError("dense reference did not converge")
+
+
+_DENSE_GRID = [
+    make_params(zeta_val=2.0, theta=theta, beta=beta, n=n)
+    for beta in (0.0, 0.5, 2.0, math.inf)
+    for theta in (0.0, math.pi / 4, math.pi / 2)
+    for n in (1, 3)
+] + [
+    # like the benchmark's quantum atlas: cutoff 512, dimension 1024
+    make_params(zeta_val=300.0, beta=beta_from_t_half(300.0), gamma_w=0.2),
+]
+
+
+@pytest.mark.parametrize("p", _DENSE_GRID)
+def test_rc_state_matches_dense_composite_route(p):
+    res = rc_mf_state(p)
+    rho, n_used, z_mf = _dense_reference(p)
+    assert res.n_used == n_used
+    assert np.abs(res.rho - rho).max() <= 1e-12
+    if z_mf is None:
+        assert res.z_mf is None
+    else:
+        assert res.z_mf == pytest.approx(z_mf, rel=1e-12, abs=0.0)
 
 
 def test_rc_not_converged_raises():
