@@ -22,8 +22,6 @@ update.  The rotation preserves |s| to machine precision.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +35,6 @@ __all__ = [
     "langevin_step",
     "simulate_steady",
 ]
-
-# steps of noise drawn per call, and the ensemble size from which the
-# draws run on a second thread
-_NOISE_BLOCK = 8
-_THREADED_ENSEMBLE = 1024
 
 _THETA_MSG = (
     "theta = 0 couples the bath to Sz only, which commutes with the free "
@@ -108,19 +101,15 @@ class _StepKernel:
         self.c1 = math.exp(-bath.gamma_w * self.h)
         self.noise_std = math.sqrt(kbt * (1.0 - self.c1 * self.c1))
 
-    def step(self, sx, sy, sz, x, p, normals):
-        """One full Strang step; returns the new component arrays.
-
-        normals[0] and normals[1] are the standard normals of the two
-        half steps' momentum noise, each of p's shape.
-        """
+    def step(self, sx, sy, sz, x, p, rng):
+        """One full Strang step; returns the new component arrays."""
         h, c1 = self.h, self.c1
 
         # half update of (X, P): kick, drift, exact OU on the momentum
         s_theta = sz * self.cos_t - sx * self.sin_t
         p = p - (self.w0sq * x + self.c * s_theta) * h
         x = x + p * h
-        p = c1 * p + self.noise_std * normals[0]
+        p = c1 * p + self.noise_std * rng.standard_normal(p.shape)
 
         # exact precession: ds/dt = grad_s H x s = -B_eff x s with
         # B_eff = omega_l z_hat - c X theta_hat, i.e. rotation by -|B| dt
@@ -139,7 +128,7 @@ class _StepKernel:
                       sz * ca + kx * sy * sa + kz * kd)
 
         # mirrored half update of (X, P)
-        p = c1 * p + self.noise_std * normals[1]
+        p = c1 * p + self.noise_std * rng.standard_normal(p.shape)
         x = x + p * h
         s_theta = sz * self.cos_t - sx * self.sin_t
         p = p - (self.w0sq * x + self.c * s_theta) * h
@@ -153,8 +142,7 @@ def langevin_step(state: DynState, params: ModelParams, cfg: SimConfig,
     s = np.asarray(state.s, dtype=float)
     sx, sy, sz, x, p = kern.step(
         np.atleast_1d(s[0]), np.atleast_1d(s[1]), np.atleast_1d(s[2]),
-        np.atleast_1d(float(state.x)), np.atleast_1d(float(state.p)),
-        rng.standard_normal((2, 1)))
+        np.atleast_1d(float(state.x)), np.atleast_1d(float(state.p)), rng)
     return DynState(s=np.array([sx[0], sy[0], sz[0]]), x=float(x[0]),
                     p=float(p[0]), t=state.t + cfg.dt)
 
@@ -203,33 +191,6 @@ def _init_ensemble(params: ModelParams, kern: _StepKernel, n_traj: int, rng):
     return sx, sy, sz, x, p
 
 
-def _noise(rng, n_steps: int, n_traj: int):
-    """Yield the (2, n_traj) standard normals of each of n_steps steps.
-
-    The values come in the order of two draws of n_traj per step, so the
-    stream is the same whether or not the draws are threaded.  Large
-    ensembles draw blocks of steps on a second thread, overlapped with the
-    integration; both release the GIL.
-    """
-    sizes = [min(_NOISE_BLOCK, n_steps - i)
-             for i in range(0, n_steps, _NOISE_BLOCK)]
-
-    def draw(k):
-        return rng.standard_normal((k, 2, n_traj))
-
-    if n_traj < _THREADED_ENSEMBLE or (os.cpu_count() or 1) < 2:
-        for k in sizes:
-            yield from draw(k)
-        return
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, sizes[0])
-        for k in sizes[1:] + [0]:
-            block = pending.result()
-            if k:
-                pending = pool.submit(draw, k)
-            yield from block
-
-
 def simulate_steady(params: ModelParams, cfg: SimConfig,
                     trajectory_path=None) -> SpinExpectation:
     """Time-and-ensemble averaged normalized spin after burn-in.
@@ -253,16 +214,15 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
     n_burn = max(1, int(round(cfg.t_burn / cfg.dt)))
     n_samp = max(1, int(round(cfg.t_sample / cfg.dt)))
 
-    noise = _noise(rng, n_burn + n_samp, n_traj)
-    for _, normals in zip(range(n_burn), noise):
-        sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, normals)
+    for _ in range(n_burn):
+        sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, rng)
 
     sum_z = np.zeros(n_traj)
     sum_x = np.zeros(n_traj)
     count = 0
     dump = [] if trajectory_path is not None else None
-    for k, normals in enumerate(noise):
-        sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, normals)
+    for k in range(n_samp):
+        sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, rng)
         if k % cfg.stride == 0:
             sum_z += sz
             sum_x += sx

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from meanforce.classical import cmf_expectations
-from meanforce import dynamics
 from meanforce.dynamics import DynState, SimConfig, langevin_step, simulate_steady
 from meanforce.model import LorentzianBath, ModelParams
 
@@ -95,20 +94,6 @@ def test_seed_determinism():
     c = simulate_steady(p, SimConfig(dt=0.005, t_burn=2.0, t_sample=5.0,
                                      stride=5, seed=43, ensemble=16))
     assert c.sz != a.sz
-
-
-@pytest.mark.parametrize("n_traj", [3, dynamics._THREADED_ENSEMBLE])
-def test_noise_is_two_draws_per_step(n_traj):
-    # the noise comes in blocks, from a second thread for large ensembles;
-    # its numbers and their order must be those of two draws per step
-    n_steps = 2 * dynamics._NOISE_BLOCK + 3
-    blocks = list(dynamics._noise(np.random.Generator(np.random.Philox(5)),
-                                  n_steps, n_traj))
-    ref = np.random.Generator(np.random.Philox(5))
-    assert len(blocks) == n_steps
-    for normals in blocks:
-        assert np.array_equal(normals[0], ref.standard_normal(n_traj))
-        assert np.array_equal(normals[1], ref.standard_normal(n_traj))
 
 
 def test_norm_is_conserved():
