@@ -212,14 +212,15 @@ def _bath_average(theta, x1, x2, u, w):
             float(wt @ fz) / total, float(wt @ fx) / total)
 
 
-def _cmf_zero_temperature(theta: float, zeta: float) -> ClassicalMoments:
-    """T = 0 limit: the average of s over the global maxima of -H_eff.
+def _zero_temperature_maxima(theta: float, zeta: float) -> list[float]:
+    """Angles psi of the global maxima of -H_eff, the T = 0 orientations.
 
     The maxima lie in the x-z plane, s = (sin psi, 0, cos psi), where
     -H_eff / (omega_l S0) = g(psi) = cos psi + zeta cos^2(psi + theta).
     Each maximum is bracketed by a + to - sign change of g' on a grid and
     polished as a root of g' by Newton's method, which resolves psi to
-    rounding; maximising g itself resolves only sqrt(eps).
+    rounding; maximising g itself resolves only sqrt(eps).  Maxima within
+    1e-9 of the range of g of the best are all kept.
     """
     c, s = math.cos(theta), math.sin(theta)
     if abs(c) < 1e-12:
@@ -260,7 +261,12 @@ def _cmf_zero_temperature(theta: float, zeta: float) -> ClassicalMoments:
         roots.append((float(shape(x)[0]), float(x)))
     best = max(val for val, _ in roots)
     span = float(gvals.max() - gvals.min()) or 1.0
-    kept = [x for val, x in roots if val >= best - 1e-9 * span]
+    return [x for val, x in roots if val >= best - 1e-9 * span]
+
+
+def _cmf_zero_temperature(theta: float, zeta: float) -> ClassicalMoments:
+    """T = 0 limit: the average of s over the global maxima of -H_eff."""
+    kept = _zero_temperature_maxima(theta, zeta)
     sz = sum(math.cos(x) for x in kept) / len(kept)
     sx = sum(math.sin(x) for x in kept) / len(kept)
     return ClassicalMoments(z_part=math.inf, sz=sz, sx=sx, quad_err=0.0)

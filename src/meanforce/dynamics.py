@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import _zero_temperature_maxima
 from .model import ModelParams
 from .results import SpinExpectation
 
@@ -35,6 +36,8 @@ __all__ = [
     "langevin_step",
     "simulate_steady",
 ]
+
+_ONE, _TINY = np.array(1.0), np.array(1e-300)
 
 _THETA_MSG = (
     "theta = 0 couples the bath to Sz only, which commutes with the free "
@@ -80,17 +83,11 @@ class SimConfig:
 
 
 class _StepKernel:
-    """Precomputed constants and the Strang step acting on component arrays."""
+    """Precomputed constants, scratch buffers for n trajectories and the
+    Strang step acting on component arrays."""
 
-    def __init__(self, params: ModelParams, dt: float):
+    def __init__(self, params: ModelParams, dt: float, n: int):
         bath = params.bath
-        self.dt = dt
-        self.h = 0.5 * dt
-        self.omega_l = params.omega_l
-        self.sin_t = math.sin(params.theta)
-        self.cos_t = math.cos(params.theta)
-        self.c = bath.omega_0 * math.sqrt(2.0 * params.q)
-        self.w0sq = bath.omega_0 ** 2
         if params.beta == math.inf:
             kbt = 0.0
         elif params.beta <= 0:
@@ -98,91 +95,222 @@ class _StepKernel:
         else:
             kbt = 1.0 / params.beta
         self.kbt = kbt
-        self.c1 = math.exp(-bath.gamma_w * self.h)
-        self.noise_std = math.sqrt(kbt * (1.0 - self.c1 * self.c1))
+        c = bath.omega_0 * math.sqrt(2.0 * params.q)
+        sin_t, cos_t = math.sin(params.theta), math.cos(params.theta)
+        h = 0.5 * dt
+        c1 = math.exp(-bath.gamma_w * h)
+        # the step's scalars are 0-d arrays: numpy converts a Python float
+        # operand on every call, which at small ensembles costs more than
+        # the arithmetic
+        f = np.array
+        self.dt, self.h, self.omega_l = f(dt), f(h), f(params.omega_l)
+        self.sin_t, self.cos_t, self.c = f(sin_t), f(cos_t), f(c)
+        self.c_sin, self.c_cos = f(c * sin_t), f(c * cos_t)
+        self.w0sq = f(bath.omega_0 ** 2)
+        self.c1 = f(c1)
+        self.noise_std = f(math.sqrt(kbt * (1.0 - c1 * c1)))
+        self._tmp = tuple(np.empty(n) for _ in range(6))
+        self._spin = tuple(np.empty(n) for _ in range(3))
+
+    def _kick(self, sx, sz, x, p):
+        """p -= (omega_0^2 X + c S_theta) h, the half-step force kick."""
+        a, b = self._tmp[:2]
+        np.multiply(sz, self.cos_t, out=a)
+        np.multiply(sx, self.sin_t, out=b)
+        a -= b
+        a *= self.c
+        np.multiply(x, self.w0sq, out=b)
+        b += a
+        b *= self.h
+        p -= b
+
+    def _drift(self, x, p):
+        a = self._tmp[0]
+        np.multiply(p, self.h, out=a)
+        x += a
+
+    def _ou(self, p, rng):
+        """Exact Ornstein-Uhlenbeck half step of the damped momentum."""
+        a = self._tmp[0]
+        rng.standard_normal(out=a)
+        a *= self.noise_std
+        p *= self.c1
+        p += a
 
     def step(self, sx, sy, sz, x, p, rng):
-        """One full Strang step; returns the new component arrays."""
-        h, c1 = self.h, self.c1
+        """One full Strang step, x and p in place.  The new spin goes to
+        the kernel's spin buffers, and the spin passed in becomes them."""
+        mul, sub = np.multiply, np.subtract
+        a, b, kx, kz, ca, sn = self._tmp
+        nx, ny, nz = self._spin
 
         # half update of (X, P): kick, drift, exact OU on the momentum
-        s_theta = sz * self.cos_t - sx * self.sin_t
-        p = p - (self.w0sq * x + self.c * s_theta) * h
-        x = x + p * h
-        p = c1 * p + self.noise_std * rng.standard_normal(p.shape)
+        self._kick(sx, sz, x, p)
+        self._drift(x, p)
+        self._ou(p, rng)
 
         # exact precession: ds/dt = grad_s H x s = -B_eff x s with
         # B_eff = omega_l z_hat - c X theta_hat, i.e. rotation by -|B| dt
-        bx = (self.c * self.sin_t) * x
-        bz = self.omega_l - (self.c * self.cos_t) * x
-        bn = np.sqrt(bx * bx + bz * bz)
-        angle = bn * self.dt
-        inv = 1.0 / np.maximum(bn, 1e-300)
-        kx = bx * inv
-        kz = bz * inv
-        ca = np.cos(angle)
-        sa = -np.sin(angle)
-        kd = (kx * sx + kz * sz) * (1.0 - ca)
-        sx, sy, sz = (sx * ca - kz * sy * sa + kx * kd,
-                      sy * ca + (kz * sx - kx * sz) * sa,
-                      sz * ca + kx * sy * sa + kz * kd)
+        # about k = B/|B|: s' = s cos - (k x s) sn + k (k.s)(1 - cos),
+        # with sn = sin(|B| dt)
+        mul(x, self.c_sin, out=kx)
+        mul(x, self.c_cos, out=kz)
+        sub(self.omega_l, kz, out=kz)
+        mul(kx, kx, out=a)
+        mul(kz, kz, out=b)
+        a += b
+        np.sqrt(a, out=a)
+        mul(a, self.dt, out=ca)
+        np.sin(ca, out=sn)
+        np.cos(ca, out=ca)
+        np.maximum(a, _TINY, out=a)
+        np.divide(_ONE, a, out=a)
+        kx *= a
+        kz *= a
+        # a = (k . s)(1 - cos)
+        mul(kx, sx, out=a)
+        mul(kz, sz, out=b)
+        a += b
+        sub(_ONE, ca, out=b)
+        a *= b
+        mul(sx, ca, out=nx)
+        mul(kz, sy, out=b)
+        b *= sn
+        nx += b
+        mul(kx, a, out=b)
+        nx += b
+        mul(sz, ca, out=nz)
+        mul(kx, sy, out=b)
+        b *= sn
+        nz -= b
+        mul(kz, a, out=b)
+        nz += b
+        mul(sy, ca, out=ny)
+        mul(kz, sx, out=a)
+        mul(kx, sz, out=b)
+        a -= b
+        a *= sn
+        ny -= a
+        self._spin = sx, sy, sz
 
         # mirrored half update of (X, P)
-        p = c1 * p + self.noise_std * rng.standard_normal(p.shape)
-        x = x + p * h
-        s_theta = sz * self.cos_t - sx * self.sin_t
-        p = p - (self.w0sq * x + self.c * s_theta) * h
-        return sx, sy, sz, x, p
+        self._ou(p, rng)
+        self._drift(x, p)
+        self._kick(nx, nz, x, p)
+        return nx, ny, nz, x, p
 
 
 def langevin_step(state: DynState, params: ModelParams, cfg: SimConfig,
                   rng: np.random.Generator) -> DynState:
     """Advance a single trajectory by one time step dt."""
-    kern = _StepKernel(params, cfg.dt)
+    kern = _StepKernel(params, cfg.dt, 1)
     s = np.asarray(state.s, dtype=float)
     sx, sy, sz, x, p = kern.step(
-        np.atleast_1d(s[0]), np.atleast_1d(s[1]), np.atleast_1d(s[2]),
-        np.atleast_1d(float(state.x)), np.atleast_1d(float(state.p)), rng)
+        np.array([s[0]]), np.array([s[1]]), np.array([s[2]]),
+        np.array([float(state.x)]), np.array([float(state.p)]), rng)
     return DynState(s=np.array([sx[0], sy[0], sz[0]]), x=float(x[0]),
                     p=float(p[0]), t=state.t + cfg.dt)
+
+
+# the start's inverse-CDF grid: polar rows by azimuths; its running sums
+# are made _ROWS rows at a time and kept at every _SEG-th column (2881 =
+# 43 * 67), and draws recompute up to _BATCH of those segments at a time
+_N_V, _N_PHI, _ROWS, _SEG, _BATCH = 1441, 2881, 64, 67, 2048
 
 
 def _init_ensemble(params: ModelParams, kern: _StepKernel, n_traj: int, rng):
     """Draw (s, X, P) close to equilibrium so burn-in only has to remove
     the coupling-induced part of the distribution.
 
-    The spin direction is drawn from the stationary spin marginal itself
-    (inverse CDF on a fine sphere grid, with in-cell jitter), because
-    relaxation toward it can be very slow when the precession frequency is
-    far off resonance from the collective mode.  The oscillator follows its
-    conditional Gibbs law given the spin: X centered on
-    -c*s_theta/omega_0^2 with variance kBT/omega_0^2.
+    At T > 0 the spin direction is drawn from the stationary spin marginal
+    itself, because relaxation toward it can be very slow when the
+    precession frequency is far off resonance from the collective mode:
+    inverse CDF on a 1441 x 2881 (v, phi) sphere grid, then uniform jitter
+    within the cell.  The grid is never held whole: one pass keeps the
+    running sum at the end of each 67-column segment, and each draw
+    recomputes its segment from the sum before it.  Every sum is rounded
+    as one cumsum over the whole grid rounds it, so the draws are those of
+    the dense grid, bit for bit.  X follows its conditional Gibbs law given
+    the spin, centered on -c*s_theta/omega_0^2 with variance
+    kBT/omega_0^2.
+
+    At T = 0 member k starts on the (k mod m)-th of the m global maxima of
+    -H_eff, with X at its conditional mean and P = 0.  Without noise each
+    stays there, so when m divides the ensemble the average is cmf's.
     """
     s0 = params.s0
-    v_grid = np.linspace(0.0, math.pi, 1441)
-    dv = v_grid[1] - v_grid[0]
-    p_grid = np.arange(2881) * (2.0 * math.pi / 2881)
-    dp = p_grid[1] - p_grid[0]
-    st = (kern.cos_t * np.cos(v_grid)[:, None]
-          - kern.sin_t * np.outer(np.sin(v_grid), np.cos(p_grid)))
     if params.beta == math.inf:
-        lw = params.omega_l * np.cos(v_grid)[:, None] + \
-            params.q * s0 * st * st
-        idx = np.full(n_traj, int(np.argmax(lw)))
-    else:
-        x1 = params.beta * params.omega_l * s0
-        x2 = params.beta * params.q * s0 * s0
-        lw = x1 * np.cos(v_grid)[:, None] + x2 * st * st
-        w = np.exp(lw - lw.max()).ravel()
-        w *= np.repeat(np.sin(v_grid), len(p_grid))
-        cdf = np.cumsum(w)
-        idx = np.searchsorted(cdf, rng.random(n_traj) * cdf[-1])
-    iv, ip = np.unravel_index(idx, lw.shape)
+        psi = np.array(_zero_temperature_maxima(params.theta, params.zeta))
+        psi = psi[np.arange(n_traj) % len(psi)]
+        sx, sy, sz = s0 * np.sin(psi), np.zeros(n_traj), s0 * np.cos(psi)
+        s_theta = sz * kern.cos_t - sx * kern.sin_t
+        return sx, sy, sz, -kern.c * s_theta / kern.w0sq, np.zeros(n_traj)
+
+    v_grid = np.linspace(0.0, math.pi, _N_V)
+    dv = v_grid[1] - v_grid[0]
+    p_grid = np.arange(_N_PHI) * (2.0 * math.pi / _N_PHI)
+    dp = p_grid[1] - p_grid[0]
+    cos_v, sin_v, cos_p = np.cos(v_grid), np.sin(v_grid), np.cos(p_grid)
+    x1 = params.beta * params.omega_l * s0
+    x2 = params.beta * params.q * s0 * s0
+
+    def log_weight(rows, cp):
+        """x1 cos v + x2 S_theta^2 on the grid rows by the azimuths cp."""
+        st = sin_v[rows, None] * cp
+        st *= kern.sin_t
+        np.subtract(kern.cos_t * cos_v[rows, None], st, out=st)
+        lw = st * x2
+        lw *= st
+        lw += x1 * cos_v[rows, None]
+        return lw
+
+    # each rounded step is monotone in cos(phi) (sin_t, sin_v, x2 >= 0), so
+    # a row's largest log-weight sits in the column of the largest or the
+    # smallest cos(phi)
+    top = log_weight(slice(None),
+                     cos_p[[cos_p.argmax(), cos_p.argmin()]]).max()
+
+    def weights(rows, cp):
+        w = log_weight(rows, cp)
+        w -= top
+        np.exp(w, out=w)
+        w *= sin_v[rows, None]
+        return w
+
+    # one cumsum over the whole grid, a block of rows at a time
+    n_seg = _N_PHI // _SEG
+    marks = np.empty(_N_V * n_seg)
+    total = 0.0
+    for r0 in range(0, _N_V, _ROWS):
+        rows = slice(r0, min(r0 + _ROWS, _N_V))
+        w = weights(rows, cos_p)
+        w[0, 0] += total
+        # in place (w is contiguous, so ravel is a view): a new array per
+        # block costs more in page faults than the sums
+        np.cumsum(w, out=w.ravel())
+        marks[r0 * n_seg:rows.stop * n_seg] = w[:, _SEG - 1::_SEG].ravel()
+        total = w[-1, -1]
+
+    # the first mark >= the target closes the segment it falls in; the
+    # segments, in increasing order and laid end to end, still rise
+    target = rng.random(n_traj) * total
+    seg_of = np.searchsorted(marks, target)
+    segs = np.unique(seg_of)
+    iv, ip = seg_of // n_seg, np.empty(n_traj, dtype=np.intp)
+    for b0 in range(0, len(segs), _BATCH):
+        seg = segs[b0:b0 + _BATCH]
+        cols = (seg % n_seg * _SEG)[:, None] + np.arange(_SEG)
+        w = weights(seg // n_seg, cos_p[cols])
+        w[:, 0] += np.where(seg > 0, marks[seg - 1], 0.0)
+        np.cumsum(w, axis=1, out=w)
+        sel = np.flatnonzero((seg_of >= seg[0]) & (seg_of <= seg[-1]))
+        ip[sel] = cols.ravel()[np.searchsorted(w.ravel(), target[sel])]
+
     v = np.clip(v_grid[iv] + (rng.random(n_traj) - 0.5) * dv, 0.0, math.pi)
     phi = p_grid[ip] + rng.random(n_traj) * dp
-    sin_v = np.sin(v)
-    sx = s0 * sin_v * np.cos(phi)
-    sy = s0 * sin_v * np.sin(phi)
+    sin_vt = np.sin(v)
+    sx = s0 * sin_vt * np.cos(phi)
+    sy = s0 * sin_vt * np.sin(phi)
     sz = s0 * np.cos(v)
     s_theta = sz * kern.cos_t - sx * kern.sin_t
     x_std = math.sqrt(kern.kbt) / params.bath.omega_0
@@ -196,8 +324,12 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
     """Time-and-ensemble averaged normalized spin after burn-in.
 
     Ensemble members share one vectorized counter-based generator seeded
-    from cfg.seed, so results are deterministic per seed.  The standard
-    error treats each member's time average as one independent block.
+    from cfg.seed, so results are deterministic per seed.  The step works
+    in place on a fixed set of ensemble-sized arrays and the start streams
+    its sphere grid, so memory beyond those arrays stays at a few MB.  At
+    beta = inf the members start on the least-energy orientations (see
+    _init_ensemble) and no noise acts.  The standard error treats each
+    member's time average as one independent block.
     If trajectory_path is given, member 0 is dumped there as CSV rows
     (t, sx, sy, sz, X, P) at stride intervals.
     """
@@ -205,7 +337,7 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
         raise ValueError(_THETA_MSG)
     cfg.validate(params)
 
-    kern = _StepKernel(params, cfg.dt)
+    kern = _StepKernel(params, cfg.dt, cfg.ensemble)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     n_traj = cfg.ensemble
     sx, sy, sz, x, p = _init_ensemble(params, kern, n_traj, rng)

@@ -1,14 +1,16 @@
 """Langevin spin + collective-mode simulator: integrator correctness,
 stationarity, and determinism."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from meanforce.classical import cmf_expectations
 from meanforce.dynamics import DynState, SimConfig, langevin_step, simulate_steady
-from meanforce.model import LorentzianBath, ModelParams
+from meanforce.model import LorentzianBath, ModelParams, beta_from_t_half
 
 
 def make_params(zeta_val=2.0, theta=math.pi / 4, beta=2.0, n=1,
@@ -141,3 +143,84 @@ def test_trajectory_dump(tmp_path):
     assert len(row) == 6
     s_norm = math.sqrt(row[1] ** 2 + row[2] ** 2 + row[3] ** 2)
     assert s_norm == pytest.approx(0.5, abs=1e-9)
+
+
+# (theta, Q, t_half, n) points of the pinned Langevin stream, and for each
+# ensemble size the (sz, sx, sz_err, sx_err) the simulator returns there
+STREAM_POINTS = [(math.pi / 4, 2.0, 1.0, 1), (1.2, 14.0, 0.5, 1),
+                 (0.3, 0.5, 4.0, 3)]
+STREAM_PINS = {
+    (0, 1): (-0.40046891390300166, 0.866216431625445, 0.0, 0.0),
+    (0, 7): (0.23914561586358424, -0.058344652281851477,
+             0.2116841705939289, 0.2263331773055464),
+    (0, 64): (0.34470416605834797, -0.046152545114445345,
+              0.06435876865385827, 0.06392478115036246),
+    (0, 4096): (0.33158140817731246, -0.07582176667600846,
+                0.008009391690844657, 0.00771955618076247),
+    (1, 1): (0.40159645773900315, -0.896271508209153, 0.0, 0.0),
+    (1, 7): (0.31985331036129006, -0.6385926214413743,
+             0.09561936852167223, 0.24474412036373477),
+    (1, 64): (0.28400048114891907, -0.539671800750986,
+              0.03436661518720867, 0.08850042587428723),
+    (1, 4096): (0.2779640373289216, -0.5273683336735777,
+                0.004255853099682005, 0.011011122096079441),
+    (2, 1): (0.8987919440453586, -0.30604202934836716, 0.0, 0.0),
+    (2, 7): (0.6319800680961389, -0.14963288894401308,
+             0.1304577848107976, 0.19001179661420933),
+    (2, 64): (0.34469188254888333, -0.04876909053049224,
+              0.0684194591464258, 0.06196722487896178),
+    (2, 4096): (0.2760854639699862, -0.013376687920862856,
+                0.008871570331435836, 0.007061768550728751),
+}
+
+
+@pytest.mark.parametrize("point, ensemble", sorted(STREAM_PINS))
+def test_langevin_stream_is_pinned(point, ensemble):
+    # the start, the step and the noise draws reproduce the recorded
+    # stream exactly: a faster kernel must round every operation as before
+    theta, q, t_half, n = STREAM_POINTS[point]
+    p = ModelParams(n=n, omega_l=1.0, theta=theta,
+                    bath=LorentzianBath.from_q(q, 7.0, 5.0),
+                    beta=beta_from_t_half(t_half))
+    cfg = SimConfig(dt=0.007, t_burn=0.5, t_sample=1.5, stride=5,
+                    seed=100 + point, ensemble=ensemble)
+    e = simulate_steady(p, cfg)
+    assert (e.sz, e.sx, e.sz_err, e.sx_err) == STREAM_PINS[point, ensemble]
+
+
+def test_trajectory_dump_is_pinned(tmp_path):
+    cfg = SimConfig(dt=0.005, t_burn=1.0, t_sample=2.0, stride=10, seed=2,
+                    ensemble=4)
+    path = tmp_path / "traj.csv"
+    simulate_steady(make_params(zeta_val=1.0), cfg, trajectory_path=str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "239d7a705a059fe3c75f88e27a9ac6c66b62befc72339bd16131669fd26f5dca")
+
+
+def test_simulation_memory_is_bounded():
+    # the start never holds its 1441 x 2881 sphere grid whole: one float
+    # array of it is 33 MB, and the dense start peaked above 100 MB here
+    p = make_params(zeta_val=2.0, beta=2.0)
+    cfg = SimConfig(dt=0.007, t_burn=0.05, t_sample=0.05, seed=5,
+                    ensemble=4096)
+    tracemalloc.start()
+    try:
+        simulate_steady(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 4])
+@pytest.mark.parametrize("n", [1, 3])
+def test_zero_temperature_matches_cmf(theta, n):
+    # at T = 0 every trajectory starts on a global maximum of -H_eff and
+    # stays there; at theta = pi/2 there are two mirror maxima, which an
+    # even ensemble averages as cmf does
+    p = make_params(zeta_val=2.0, theta=theta, beta=math.inf, n=n)
+    cfg = SimConfig(dt=0.005, t_burn=1.0, t_sample=2.0, seed=3, ensemble=8)
+    e = simulate_steady(p, cfg)
+    ref = cmf_expectations(p)
+    assert e.sz == pytest.approx(ref.sz, abs=1e-12)
+    assert e.sx == pytest.approx(ref.sx, abs=1e-12)
