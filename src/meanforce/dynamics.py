@@ -326,10 +326,12 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
     Ensemble members share one vectorized counter-based generator seeded
     from cfg.seed, so results are deterministic per seed.  The step works
     in place on a fixed set of ensemble-sized arrays and the start streams
-    its sphere grid, so memory beyond those arrays stays at a few MB.  At
-    beta = inf the members start on the least-energy orientations (see
-    _init_ensemble) and no noise acts.  The standard error treats each
-    member's time average as one independent block.
+    its sphere grid, so memory beyond those arrays stays at a few MB.  The
+    standard error treats each member's time average as one independent
+    block.  At beta = inf the members start on the least-energy
+    orientations (see _init_ensemble), which the noiseless step leaves
+    fixed, so no step is taken: the result is the start's ensemble mean,
+    with standard errors 0.
     If trajectory_path is given, member 0 is dumped there as CSV rows
     (t, sx, sy, sz, X, P) at stride intervals.
     """
@@ -343,39 +345,48 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
     sx, sy, sz, x, p = _init_ensemble(params, kern, n_traj, rng)
     s0 = params.s0
 
-    n_burn = max(1, int(round(cfg.t_burn / cfg.dt)))
     n_samp = max(1, int(round(cfg.t_sample / cfg.dt)))
-
-    for _ in range(n_burn):
-        sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, rng)
-
-    sum_z = np.zeros(n_traj)
-    sum_x = np.zeros(n_traj)
-    count = 0
     dump = [] if trajectory_path is not None else None
-    for k in range(n_samp):
-        sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, rng)
-        if k % cfg.stride == 0:
-            sum_z += sz
-            sum_x += sx
-            count += 1
-            if dump is not None:
-                t = cfg.t_burn + (k + 1) * cfg.dt
-                dump.append((t, sx[0], sy[0], sz[0], x[0], p[0]))
 
-    norm = np.sqrt(sx * sx + sy * sy + sz * sz)
-    if np.max(np.abs(norm - s0)) > 1e-9 * max(1.0, s0):
-        raise RuntimeError("spin norm drifted beyond tolerance")
+    if params.beta == math.inf:
+        # no noise acts and every member starts on a fixed point of the
+        # noiseless step, so each time average is the member's start and
+        # the members' spread between the maxima is no sampling error
+        if dump is not None:
+            dump = [(cfg.t_burn + (k + 1) * cfg.dt, sx[0], sy[0], sz[0],
+                     x[0], p[0]) for k in range(0, n_samp, cfg.stride)]
+        mz, mx = sz / s0, sx / s0
+        sz_err = sx_err = 0.0
+    else:
+        for _ in range(max(1, int(round(cfg.t_burn / cfg.dt)))):
+            sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, rng)
 
-    mz = sum_z / (count * s0)
-    mx = sum_x / (count * s0)
+        sum_z = np.zeros(n_traj)
+        sum_x = np.zeros(n_traj)
+        count = 0
+        for k in range(n_samp):
+            sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, rng)
+            if k % cfg.stride == 0:
+                sum_z += sz
+                sum_x += sx
+                count += 1
+                if dump is not None:
+                    t = cfg.t_burn + (k + 1) * cfg.dt
+                    dump.append((t, sx[0], sy[0], sz[0], x[0], p[0]))
+
+        norm = np.sqrt(sx * sx + sy * sy + sz * sz)
+        if np.max(np.abs(norm - s0)) > 1e-9 * max(1.0, s0):
+            raise RuntimeError("spin norm drifted beyond tolerance")
+
+        mz = sum_z / (count * s0)
+        mx = sum_x / (count * s0)
+        if n_traj > 1:
+            sz_err = float(np.std(mz, ddof=1) / math.sqrt(n_traj))
+            sx_err = float(np.std(mx, ddof=1) / math.sqrt(n_traj))
+        else:
+            sz_err = sx_err = 0.0
     out_z = float(np.mean(mz))
     out_x = float(np.mean(mx))
-    if n_traj > 1:
-        sz_err = float(np.std(mz, ddof=1) / math.sqrt(n_traj))
-        sx_err = float(np.std(mx, ddof=1) / math.sqrt(n_traj))
-    else:
-        sz_err = sx_err = 0.0
 
     if dump is not None:
         rows = "\n".join("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g" % r for r in dump)

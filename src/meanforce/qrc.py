@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import LorentzianBath, ModelParams
 from .qspin import gibbs_weights, spin_operators
@@ -101,6 +100,14 @@ def rc_hamiltonian(params: ModelParams, rc: RcParams) -> np.ndarray:
     return h
 
 
+def _log_geometric(x: float, n: int) -> float:
+    """ln sum_{k<n} exp(-k x) for x >= 0: the truncated oscillator's
+    partition function, in closed form."""
+    if x == 0.0:
+        return math.log(n)
+    return math.log(math.expm1(-n * x) / math.expm1(-x))
+
+
 @functools.lru_cache(maxsize=256)
 def rc_mf_state(params: ModelParams, tol: float = 1e-6,
                 n_max: int = 2048) -> RcResult:
@@ -144,8 +151,7 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
         if prev is not None and abs(sz - prev[0]) < tol and abs(sx - prev[1]) < tol:
             z_mf = None
             if not math.isinf(beta):
-                log_zr = float(logsumexp(-beta * rc.omega_rc
-                                         * np.arange(n_levels)))
+                log_zr = _log_geometric(beta * rc.omega_rc, n_levels)
                 log_z_mf = -beta * evals[0] + math.log(w.sum()) - log_zr
                 z_mf = math.exp(log_z_mf) if log_z_mf < 709.0 else math.inf
             return RcResult(rho=rho, n_used=n_levels, converged=True,

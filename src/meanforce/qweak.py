@@ -22,12 +22,12 @@ omega.  The tests check both against quadrature and mpmath.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import psi
 
 from .model import LorentzianBath, ModelParams
 from .qspin import qu_gibbs_stats, spin_operators, thermal_state
@@ -41,10 +41,11 @@ __all__ = [
     "qmf_wk_state",
 ]
 
-# Bernoulli numbers B_2 .. B_12 of the asymptotic trigamma series
+# Bernoulli numbers B_2 .. B_12 of the asymptotic digamma and trigamma series
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
-_TRIGAMMA_SHIFT = 15
-_GL_T, _GL_W = leggauss(8)
+_DIGAMMA_SERIES = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
+_TRIGAMMA_SHIFT = 15  # the recurrences run until |z| >= 15
+_GL_T, _GL_W = (v.tolist() for v in leggauss(8))
 
 
 @dataclass(frozen=True)
@@ -58,62 +59,131 @@ class BathIntegrals:
     q: float           # A_beta(0)
 
 
-def _trigamma(z):
-    """Complex trigamma psi'(z) for Re z > 0, elementwise: the recurrence
-    psi'(z) = psi'(z + 1) + 1/z^2 up to |z| >= 15, then the asymptotic series
-    through B_12, which is exact to rounding there."""
-    z = np.asarray(z, dtype=complex)
-    head = np.sum((z[..., None] + np.arange(_TRIGAMMA_SHIFT)) ** -2.0, axis=-1)
-    w = 1.0 / (z + _TRIGAMMA_SHIFT)
+def _polygammas(z: complex) -> tuple[complex, complex]:
+    """Complex digamma psi(z) and trigamma psi'(z) for Re z > 0.
+
+    The recurrences psi(z) = psi(z + 1) - 1/z and psi'(z) = psi'(z + 1)
+    + 1/z^2 run up to |z| >= 15, then the asymptotic series
+    log z - 1/(2z) - sum B_2k/(2k z^2k) and 1/z + 1/(2z^2) + sum B_2k/z^(2k+1)
+    through B_12 are exact to rounding.  Python complex arithmetic: the
+    bath integrals take a handful of arguments per call, where numpy's
+    per-call overhead would cost more than the arithmetic.
+    """
+    head = head2 = 0.0
+    x, y = z.real, abs(z.imag)
+    if y < _TRIGAMMA_SHIFT:
+        # |z + n| >= 15 once Re z + n >= sqrt(15^2 - (Im z)^2)
+        steps = math.ceil(math.sqrt(_TRIGAMMA_SHIFT**2 - y * y) - x)
+        for _ in range(max(0, steps)):
+            r = 1.0 / z
+            head += r
+            head2 += r * r
+            z += 1.0
+    w = 1.0 / z
     w2 = w * w
-    series = 0.0
-    for b in reversed(_BERNOULLI):
-        series = b + w2 * series
-    return head + w + w2 * (0.5 + w * series)
+    s1 = s2 = 0.0
+    for c1, c2 in zip(reversed(_DIGAMMA_SERIES), reversed(_BERNOULLI)):
+        s1 = c1 + w2 * s1
+        s2 = c2 + w2 * s2
+    return (cmath.log(z) - head - 0.5 * w - w2 * s1,
+            head2 + w + w2 * (0.5 + w * s2))
+
+
+def _digamma(z):
+    """Complex digamma psi(z) for Re z > 0, elementwise (see _polygammas)."""
+    return np.array([_polygammas(complex(v))[0] for v in np.ravel(z)],
+                    dtype=complex).reshape(np.shape(z))
+
+
+def _trigamma(z):
+    """Complex trigamma psi'(z) for Re z > 0, elementwise (see _polygammas)."""
+    return np.array([_polygammas(complex(v))[1] for v in np.ravel(z)],
+                    dtype=complex).reshape(np.shape(z))
+
+
+def _log_and_reciprocal(z: complex) -> tuple[complex, complex]:
+    return cmath.log(z), 1.0 / z
+
+
+def _pole_maps(beta: float):
+    """(fns, upper, lower): fns(z) gives F(z) and F'(z), F = psi at
+    beta < inf and log at beta = inf; upper and lower are the (const, z0,
+    dz) of the pole factors const - F(z0 + dz p)."""
+    if math.isinf(beta):
+        return _log_and_reciprocal, (0.0, 0.0, -1.0), (0.0, 0.0, -1.0)
+    c = beta / (2.0 * math.pi)
+    return _polygammas, (1j * math.pi, 0.0, -1j * c), (0.0, 1.0, 1j * c)
+
+
+@functools.lru_cache(maxsize=64)
+def _pole_factors(omega_0: float, gamma_w: float, beta: float):
+    """Numerators on the two pole pairs m +- delta, m = +-i Gamma/2.
+
+    Returns (merged, delta, upper, lower), each pair a tuple of nodes
+    (p, f(p), f'(p)) with f = const - F(z0 + dz p).  They do not depend on
+    omega, k or the bath amplitude, so the four integrals of bath_combos
+    and the couplings of a regime scan share one evaluation of F.
+    Near critical damping the pair merges into a double pole (merged) and
+    its nodes are the 8 Gauss-Legendre points of the segment; otherwise
+    they are m + delta and m - delta.
+    """
+    delta = cmath.sqrt((omega_0 - 0.5 * gamma_w) * (omega_0 + 0.5 * gamma_w))
+    fns, upper, lower = _pole_maps(beta)
+    merged = abs(delta) < 0.125 * gamma_w
+    ts = _GL_T if merged else (1.0, -1.0)
+
+    def nodes(m, const, z0, dz):
+        out = []
+        for t in ts:
+            p = m + delta * t
+            f, df = fns(z0 + dz * p)
+            out.append((p, const - f, -dz * df))
+        return tuple(out)
+
+    return (merged, delta, nodes(0.5j * gamma_w, *upper),
+            nodes(-0.5j * gamma_w, *lower))
 
 
 def _a_closed(bath: LorentzianBath, beta: float, omega: float, k: int) -> float:
     """A_beta(omega) for k = 1 and A'_beta(omega) for k = 2, omega != 0.
 
-    Each pole factor is const - F(z0 + dz p), F = psi (log at beta = inf);
-    the residues carry 1/(p - omega)^k.  The omega term is -J x for k = 1 and
-    -(J' x + J x') for k = 2, x = F at the lower-pole map of omega.
+    Each pole factor is f(p) = const - F(z0 + dz p), F = psi (log at
+    beta = inf); the residues carry 1/(p - omega)^k.  The omega term is
+    -J x for k = 1 and -(J' x + J x') for k = 2, x = F at the lower-pole
+    map of omega.  The pole factors come from _pole_factors, so a call
+    that shares omega_0, Gamma and beta with an earlier one evaluates F
+    only at that map.
     """
     w0, g = bath.omega_0, bath.gamma_w
-    delta = cmath.sqrt((w0 - 0.5 * g) * (w0 + 0.5 * g))
-    if math.isinf(beta):
-        fn, dfn = np.log, np.reciprocal
-        upper = lower = (0.0, 0.0, -1.0)
-    else:
-        fn, dfn = psi, _trigamma
-        c = beta / (2.0 * math.pi)
-        upper, lower = (1j * math.pi, 0.0, -1j * c), (0.0, 1.0, 1j * c)
+    merged, delta, upper, lower = _pole_factors(w0, g, beta)
 
-    def pair(m, const, z0, dz):
-        # Residue sum over the pole pair m +- delta: the divided difference
+    def pair(nodes):
+        # Residue sum over a pole pair: the divided difference
         # (h(m + delta) - h(m - delta)) / 2 delta, h = f(p) / (p - omega)^k.
-        # Near critical damping the pair merges into a double pole and the
-        # quotient cancels; there it is the mean of h' over the segment by
-        # Gauss-Legendre, exact to rounding for |delta| < |m|/4 since h is
-        # analytic within |m| = Gamma/2 of m, and h'(m) at delta = 0.
-        if abs(delta) >= 0.25 * abs(m):
-            p = m + delta * np.array([1.0, -1.0])
-            h = (const - fn(z0 + dz * p)) / (p - omega) ** k
-            return (h[0] - h[1]) / (2.0 * delta)
-        p = m + delta * _GL_T
-        z, u = z0 + dz * p, 1.0 / (p - omega)
-        return 0.5 * np.dot(_GL_W, (-dz * dfn(z) - k * (const - fn(z)) * u) * u**k)
+        # Near critical damping the quotient cancels; there it is the mean
+        # of h' over the segment by Gauss-Legendre, exact to rounding for
+        # |delta| < |m|/4 since h is analytic within |m| = Gamma/2 of m,
+        # and h'(m) at delta = 0.
+        if not merged:
+            (pp, fp, _), (pm, fm, _) = nodes
+            return (fp / (pp - omega) ** k - fm / (pm - omega) ** k) / (2.0 * delta)
+        total = 0.0
+        for (p, f, df), wt in zip(nodes, _GL_W):
+            u = 1.0 / (p - omega)
+            total += wt * (df - k * f * u) * u**k
+        return 0.5 * total
 
-    poles = pair(0.5j * g, *upper) - pair(-0.5j * g, *lower)
-    z = complex(lower[1] + lower[2] * omega)
+    poles = pair(upper) - pair(lower)
+    fns, _, (_, z0, dz) = _pole_maps(beta)
+    x, dx = fns(z0 + dz * omega)
     den = (w0 * w0 - omega * omega) ** 2 + (g * omega) ** 2
     amp = bath.a_lor * g / math.pi
     j = amp * omega / den
     if k == 1:
-        tail = j * fn(z)
+        tail = j * x
     else:
         dden = 2.0 * omega * (g * g - 2.0 * (w0 * w0 - omega * omega))
-        tail = amp * (den - omega * dden) / den**2 * fn(z) + j * lower[2] * dfn(z)
+        tail = amp * (den - omega * dden) / den**2 * x + j * dz * dx
     return float((bath.a_lor / (2j * math.pi) * poles - tail).real)
 
 

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from meanforce.classical import cmf_expectations
-from meanforce.dynamics import DynState, SimConfig, langevin_step, simulate_steady
+from meanforce.dynamics import (
+    DynState,
+    SimConfig,
+    _init_ensemble,
+    _StepKernel,
+    langevin_step,
+    simulate_steady,
+)
 from meanforce.model import LorentzianBath, ModelParams, beta_from_t_half
 
 
@@ -224,3 +231,37 @@ def test_zero_temperature_matches_cmf(theta, n):
     ref = cmf_expectations(p)
     assert e.sz == pytest.approx(ref.sz, abs=1e-12)
     assert e.sx == pytest.approx(ref.sx, abs=1e-12)
+
+
+@pytest.mark.parametrize("zeta_val", [0.3, 2.0, 50.0])
+@pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 4, 1.2])
+@pytest.mark.parametrize("n", [1, 3])
+def test_zero_temperature_start_is_a_fixed_point(theta, n, zeta_val):
+    # simulate_steady takes no step at T = 0: without noise the step leaves
+    # every member of the start (a least-energy orientation, the bath mode
+    # at its conditional mean and at rest) where it is
+    p = make_params(zeta_val=zeta_val, theta=theta, beta=math.inf, n=n)
+    kern = _StepKernel(p, 0.005, 8)
+    rng = np.random.Generator(np.random.Philox(key=3))
+    start = _init_ensemble(p, kern, 8, rng)
+    state = tuple(a.copy() for a in start)
+    for _ in range(400):
+        state = kern.step(*state, rng)
+    for got, ref in zip(state, start):
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_zero_temperature_takes_no_step(tmp_path):
+    # the result is the start's ensemble mean with no sampling error, and
+    # the trajectory dump holds the start at the usual sampling times
+    p = make_params(zeta_val=2.0, theta=math.pi / 2, beta=math.inf)
+    cfg = SimConfig(dt=0.005, t_burn=1.0, t_sample=2.0, stride=10, seed=3,
+                    ensemble=64)
+    path = tmp_path / "traj.csv"
+    e = simulate_steady(p, cfg, trajectory_path=str(path))
+    assert (e.sz_err, e.sx_err) == (0.0, 0.0)
+    assert e.sx == pytest.approx(0.0, abs=1e-15)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows.shape == (40, 6)
+    assert np.allclose(rows[:, 0], 1.0 + (np.arange(0, 400, 10) + 1) * 0.005)
+    assert np.all(rows[:, 1:] == rows[0, 1:])
