@@ -6,7 +6,7 @@ weak-coupling and ultrastrong limits, regime classification, and a
 classical Langevin dynamics cross-check.
 """
 
-__version__ = "0.3.3"
+__version__ = "0.3.4"
 
 from .model import (
     BareQBath,
@@ -27,7 +27,6 @@ from .classical import (
     ClassicalMoments,
     QuadratureNotConverged,
     cl_gibbs_stats,
-    cl_us_expectations,
     cmf_expectations,
     cmf_logweight,
     cmf_sample,
@@ -38,4 +37,4 @@ from .qweak import BathIntegrals, bath_a, bath_combos, qmf_wk_expectations, qmf_
 from .qrc import RcNotConverged, RcParams, RcResult, rc_expectations, rc_hamiltonian, rc_mf_state, rc_params
 from .limits import correspondence_sweep, mll_bare_ratio, us_expectations, us_quantum_state
 from .regimes import RegimePoint, approx_error, classify_point, find_boundary, regime_atlas
-from .dynamics import DynState, SimConfig, langevin_step, simulate_steady
+from .dynamics import SimConfig, simulate_steady

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,7 +35,6 @@ __all__ = [
     "cmf_logweight",
     "cmf_expectations",
     "cmf_wk_expectations",
-    "cl_us_expectations",
     "us_expectations",
     "cmf_sample",
 ]
@@ -53,8 +51,6 @@ class ClassicalMoments:
     z_part: float
     sz: float
     sx: float
-    sz2: Optional[float] = None
-    sz3: Optional[float] = None
     quad_err: float = 0.0
     sz_err: float = 0.0
     sx_err: float = 0.0
@@ -86,26 +82,21 @@ def _langevin(x: float) -> float:
 def cl_gibbs_stats(x: float) -> ClassicalMoments:
     """Classical Gibbs spin moments at x = beta*omega_l*S0.
 
-    Z = sinh(x)/x, <sz> = coth(x) - 1/x, plus the second and third
-    normalized moments.  Series are used near x = 0 and the aligned limit
-    at x = inf.
+    Z = sinh(x)/x and <sz> = coth(x) - 1/x.  Series are used near x = 0
+    and the aligned limit at x = inf.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
     if math.isinf(x):
-        return ClassicalMoments(z_part=math.inf, sz=1.0, sx=0.0, sz2=1.0, sz3=1.0)
+        return ClassicalMoments(z_part=math.inf, sz=1.0, sx=0.0)
     if x < 0.05:
         z = 1.0 + x**2 / 6.0 + x**4 / 120.0
         sz = _langevin(x)
-        sz2 = 1.0 / 3.0 + 2.0 * x**2 / 45.0 - 4.0 * x**4 / 945.0
-        sz3 = x / 5.0 - x**3 / 105.0
     else:
         coth = 1.0 / math.tanh(x)
         z = math.sinh(x) / x if x < 700 else math.inf
         sz = coth - 1.0 / x
-        sz2 = 1.0 - 2.0 * coth / x + 2.0 / x**2
-        sz3 = coth - 3.0 / x + 6.0 * coth / x**2 - 6.0 / x**3
-    return ClassicalMoments(z_part=z, sz=sz, sx=0.0, sz2=sz2, sz3=sz3)
+    return ClassicalMoments(z_part=z, sz=sz, sx=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +351,6 @@ def us_expectations(params: ModelParams) -> SpinExpectation:
     return SpinExpectation(sz=math.cos(params.theta) * t,
                            sx=-math.sin(params.theta) * t,
                            method="us")
-
-
-cl_us_expectations = us_expectations
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 One binary with subcommands.  Options can come from a flat key = value
 config file (--config); explicit flags override file values.  Angles accept
 plain radians or tokens like pi/4.  Grids are min:max:count, optionally
-prefixed log: for geometric spacing.  Results are cached per grid cell in a
-JSONL store keyed by a canonical hash of (command, parameters, tolerances,
-code version); identical reruns are served from the cache byte-identically.
+prefixed log: for geometric spacing.  Sweeps, regime boundaries and dynamics
+cache each grid cell in a JSONL store keyed by a hash of (command, parameters,
+tolerances, code version), so identical reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence
 (quadrature, reaction-coordinate cutoff or boundary scan); any other
@@ -310,11 +310,13 @@ def _run_sweep(args, cache, command: str) -> SweepTable:
 def _run_regimes(args, cache) -> SweepTable:
     t_grid = parse_grid(args.t_half)
     if args.zeta_grid:
-        return regime_atlas(args.theta_rad, parse_grid(args.zeta_grid),
-                            t_grid, flavor=args.flavor, n=args.n,
-                            tol=args.regime_tol, floor=args.floor,
-                            omega_l=args.omega_l, omega_0=args.omega_0,
-                            gamma_w=args.gamma_w)
+        table = regime_atlas(args.theta_rad, parse_grid(args.zeta_grid),
+                             t_grid, flavor=args.flavor, n=args.n,
+                             tol=args.regime_tol, floor=args.floor,
+                             omega_l=args.omega_l, omega_0=args.omega_0,
+                             gamma_w=args.gamma_w)
+        table.metadata.update(_echo_metadata(args, "regimes"))
+        return table
     table = SweepTable(
         columns=("t_half", "zeta_uw_wk", "zeta_wk_im", "zeta_im_us"),
         metadata=_echo_metadata(args, "regimes"))

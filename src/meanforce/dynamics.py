@@ -31,9 +31,7 @@ from .model import ModelParams
 from .results import SpinExpectation
 
 __all__ = [
-    "DynState",
     "SimConfig",
-    "langevin_step",
     "simulate_steady",
 ]
 
@@ -44,16 +42,6 @@ _THETA_MSG = (
     "precession; there is no dissipation channel and the spin cannot "
     "equilibrate.  Use theta > 0."
 )
-
-
-@dataclass
-class DynState:
-    """Instantaneous state of one spin + collective-mode trajectory."""
-
-    s: np.ndarray
-    x: float
-    p: float
-    t: float
 
 
 @dataclass(frozen=True)
@@ -198,18 +186,6 @@ class _StepKernel:
         self._drift(x, p)
         self._kick(nx, nz, x, p)
         return nx, ny, nz, x, p
-
-
-def langevin_step(state: DynState, params: ModelParams, cfg: SimConfig,
-                  rng: np.random.Generator) -> DynState:
-    """Advance a single trajectory by one time step dt."""
-    kern = _StepKernel(params, cfg.dt, 1)
-    s = np.asarray(state.s, dtype=float)
-    sx, sy, sz, x, p = kern.step(
-        np.array([s[0]]), np.array([s[1]]), np.array([s[2]]),
-        np.array([float(state.x)]), np.array([float(state.p)]), rng)
-    return DynState(s=np.array([sx[0], sy[0], sz[0]]), x=float(x[0]),
-                    p=float(p[0]), t=state.t + cfg.dt)
 
 
 # the start's inverse-CDF grid: polar rows by azimuths; its running sums

@@ -1,8 +1,8 @@
 """Spin operators and the bare quantum Gibbs state.
 
-Dense spin-S0 matrices in the Sz eigenbasis (descending m = S0 .. -S0),
-closed-form thermal moments of Sz for the bare Hamiltonian H_S = -omega_l*Sz,
-and a generic finite-dimensional thermal state.
+Dense spin-S0 matrices in the Sz eigenbasis (descending m = S0 .. -S0), the
+closed-form partition function and <Sz> of the bare Hamiltonian
+H_S = -omega_l*Sz, and a generic finite-dimensional thermal state.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ def spin_operators(n: int) -> SpinOperators:
 class QuGibbsStats:
     z0: float
     m1: float  # <Sz>
-    m2: float  # <Sz^2>
-    m3: float  # <Sz^3>
 
 
 def _moments_by_sum(b: float, n: int) -> QuGibbsStats:
@@ -69,40 +67,34 @@ def _moments_by_sum(b: float, n: int) -> QuGibbsStats:
     w = np.exp(b * (m - s0))  # shift by the largest exponent
     z = float(w.sum())
     m1 = float((w * m).sum()) / z
-    m2 = float((w * m**2).sum()) / z
-    m3 = float((w * m**3).sum()) / z
     z0 = z * math.exp(b * s0) if b * s0 < 700 else math.inf
-    return QuGibbsStats(z0=z0, m1=m1, m2=m2, m3=m3)
+    return QuGibbsStats(z0=z0, m1=m1)
 
 
 def qu_gibbs_stats(beta: float, n: int, omega_l: float) -> QuGibbsStats:
-    """Thermal moments of Sz for H_S = -omega_l*Sz at inverse temperature beta.
+    """Partition function and <Sz> for H_S = -omega_l*Sz at inverse
+    temperature beta.
 
-    Z0 = sinh(b(S0+1/2))/sinh(b/2) with b = beta*omega_l; the first three
-    moments follow from derivatives of log Z0.  The direct diagonal sum is
+    Z0 = sinh(b(S0+1/2))/sinh(b/2) with b = beta*omega_l; <Sz> is the
+    derivative of log Z0 in b.  The direct diagonal sum is
     used where the closed forms lose digits (small b) or overflow (large b).
     """
     s0 = n / 2.0
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     if math.isinf(beta):
-        return QuGibbsStats(z0=math.inf, m1=s0, m2=s0**2, m3=s0**3)
+        return QuGibbsStats(z0=math.inf, m1=s0)
     b = beta * omega_l
     sp = s0 + 0.5
     if b == 0.0:
-        return QuGibbsStats(z0=float(n + 1), m1=0.0,
-                            m2=s0 * (s0 + 1.0) / 3.0, m3=0.0)
+        return QuGibbsStats(z0=float(n + 1), m1=0.0)
     if b * sp < 0.5 or b * sp > 350.0:
         return _moments_by_sum(b, n)
     ch = 1.0 / math.tanh(0.5 * b)
     cs = 1.0 / math.tanh(b * sp)
     z0 = math.sinh(b * sp) / math.sinh(0.5 * b)
     m1 = sp * cs - 0.5 * ch
-    m2 = sp**2 - sp * ch * cs + 0.25 * (2.0 * ch**2 - 1.0)
-    m3 = (sp**3 * cs - 1.5 * sp**2 * ch
-          + 0.75 * sp * cs * (2.0 * ch**2 - 1.0)
-          - 0.75 * ch**3 + 0.625 * ch)
-    return QuGibbsStats(z0=z0, m1=m1, m2=m2, m3=m3)
+    return QuGibbsStats(z0=z0, m1=m1)
 
 
 def gibbs_weights(evals: np.ndarray, beta: float) -> np.ndarray:

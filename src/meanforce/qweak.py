@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .model import LorentzianBath, ModelParams
-from .qspin import qu_gibbs_stats, spin_operators, thermal_state
+from .qspin import gibbs_weights
 from .results import SpinExpectation
 
 __all__ = [
@@ -235,82 +235,71 @@ def _require_lorentzian(params: ModelParams) -> LorentzianBath:
     return params.bath
 
 
-def qmf_wk_expectations(params: ModelParams) -> SpinExpectation:
-    """Spin expectations of the second-order mean-force state, normalized
-    by S0.
+def _wk_bands(params: ModelParams):
+    """The Sz basis m_j = S0 - j, the ladder elements a_j = <m_j + 1|S+|m_j>
+    (j = 1..n) and the diagonals d_j = rho[j, j], e_j = rho[j-1, j],
+    f_j = rho[j-2, j] of the second-order mean-force state (Cresser & Anders,
+    PRL 127, 250601 (2021)), as (m, a, d, e, f).  H_S = -omega_l Sz is
+    diagonal and the coupling's eigenoperators -(1/2)sin S-, cos Sz and
+    -(1/2)sin S+ move m by at most 1, so rho is real symmetric and zero
+    beyond the second off-diagonal.  With p the bare Gibbs weights,
+    a_0 = a_(n+1) = 0, up_j = a_j^2 p_j, dn_j = a_(j+1)^2 p_j and
+    A'+- = (Delta' +- Sigma')/2:
 
-    <Sz> gains a coherent-shift piece (Sigma', Delta'_beta) plus a thermal
-    piece linear in beta built from connected Sz moments; <Sx> is the
-    static coherence proportional to sin(2 theta).  At beta = 0 the
-    corrections vanish identically and at beta = inf the thermal piece
-    drops (connected moments vanish faster than 1/beta).
+        d_j = p_j + (sin^2/4)[A'+ (up_(j+1) - up_j) + A'- (dn_(j-1) - dn_j)]
+              + beta p_j (z_j - p.z),
+        z_j = (sin^2/4)(A+ a_j^2 + A- a_(j+1)^2) + cos^2 Q m_j^2,
+        e_j = (sin cos/2wl) a_j [A+ p_j + A- p_(j-1) - 2Q (m_(j-1) p_(j-1) - m_j p_j)],
+        f_j = (sin^2/8wl) a_(j-1) a_j [A+ (p_(j-1) - p_j) + A- (p_(j-2) - p_(j-1))].
+
+    The correction is traceless.  The beta term vanishes at beta = inf and
+    is dropped there; beta = 0 gives p.
     """
     bath = _require_lorentzian(params)
-    beta, theta, wl, s0 = params.beta, params.theta, params.omega_l, params.s0
+    beta, theta, wl, n, s0 = (params.beta, params.theta, params.omega_l,
+                              params.n, params.s0)
+    j = np.arange(n + 2.0)
+    a2 = j * (n + 1.0 - j)  # S0(S0 + 1) - m_j(m_j + 1), j = 0..n+1
+    m, a = s0 - j[:-1], np.sqrt(a2[1:-1])
+    pe = np.zeros(n + 3)  # pe[j + 1] = p_j, zero past the ends
+    p = pe[1:-1]
+    p[:] = gibbs_weights(-wl * m, beta)
+    p /= p.sum()
     if beta == 0.0:
-        return SpinExpectation(sz=0.0, sx=0.0, method="qmf_wk")
-    g = qu_gibbs_stats(beta, params.n, wl)
+        return m, a, p, np.zeros(n), np.zeros(n - 1)
     bi = bath_combos(bath, beta, wl)
-    cas = s0 * (s0 + 1.0)
-    sin2 = math.sin(theta) ** 2
-    s2t = math.sin(2.0 * theta)
-
-    sz_val = g.m1 + 0.25 * sin2 * ((cas - g.m2) * bi.sigma_prime
-                                   - g.m1 * bi.delta_b_prime)
+    ap, am, q = bi.a_plus, bi.a_minus, bi.q
+    app = 0.5 * (bi.delta_b_prime + bi.sigma_prime)
+    apm = 0.5 * (bi.delta_b_prime - bi.sigma_prime)
+    s2, sc = 0.25 * math.sin(theta) ** 2, math.sin(theta) * math.cos(theta)
+    up, dn = a2[:-1] * p, a2[1:] * p
+    d = p + s2 * (app * (a2[1:] * pe[2:] - up) + apm * (a2[:-1] * pe[:-2] - dn))
     if not math.isinf(beta):
-        c2 = g.m2 - g.m1**2
-        c3 = g.m3 - g.m1 * g.m2
-        sz_val -= beta * (0.25 * sin2 * (c2 * bi.delta_b + c3 * bi.sigma)
-                          - math.cos(theta) ** 2 * c3 * bi.q)
-    sx_val = (s2t / (4.0 * wl)) * ((cas - g.m2) * bi.sigma
-                                   - g.m1 * bi.delta_b - 4.0 * g.m2 * bi.q)
-    return SpinExpectation(sz=sz_val / s0, sx=sx_val / s0, method="qmf_wk")
+        z = s2 * (ap * a2[:-1] + am * a2[1:]) + math.cos(theta) ** 2 * q * m * m
+        d += beta * p * (z - p @ z)
+    mp = m * p
+    e = sc / (2.0 * wl) * a * (ap * p[1:] + am * p[:-1]
+                               - 2.0 * q * (mp[:-1] - mp[1:]))
+    f = s2 / (2.0 * wl) * a[:-1] * a[1:] * (ap * (p[1:-1] - p[2:])
+                                            + am * (p[:-2] - p[1:-1]))
+    return m, a, d, e, f
+
+
+def qmf_wk_expectations(params: ModelParams) -> SpinExpectation:
+    """Spin expectations of the second-order mean-force state, normalized
+    by S0: the traces <Sz> = sum m_j d_j and <Sx> = sum a_j e_j of the
+    bands of _wk_bands, summed exactly (fsum), so beta = 0 gives 0 and 0.
+    """
+    m, a, d, e, _ = _wk_bands(params)
+    s0 = params.s0
+    return SpinExpectation(sz=math.fsum(m * d) / s0, sx=math.fsum(a * e) / s0,
+                           method="qmf_wk")
 
 
 def qmf_wk_state(params: ModelParams) -> np.ndarray:
-    """Second-order mean-force density matrix.
-
-    Assembled from the energy eigenoperators of the coupling direction,
-    X(-1) = -(1/2)sin(theta) S-, X(0) = cos(theta) Sz,
-    X(+1) = -(1/2)sin(theta) S+, with Bohr frequencies +wl, 0, -wl.  The
-    normalization follows the Taylor-expansion route, so the correction is
-    traceless by construction.  Trace is 1 and Hermiticity holds to machine
-    precision; strict positivity is not guaranteed for a truncated
-    expansion.
+    """Second-order mean-force density matrix in the Sz basis
+    (m = S0 .. -S0), pentadiagonal and real; see _wk_bands.  Trace is 1;
+    strict positivity is not guaranteed for a truncated expansion.
     """
-    bath = _require_lorentzian(params)
-    beta, theta, wl = params.beta, params.theta, params.omega_l
-    so = spin_operators(params.n)
-    sp_, sm_, sz_ = so.s_plus, so.s_minus, so.sz
-    tau = thermal_state(-wl * sz_, beta)
-    if beta == 0.0:
-        return tau
-    bi = bath_combos(bath, beta, wl)
-    app = 0.5 * (bi.delta_b_prime + bi.sigma_prime)
-    apm = 0.5 * (bi.delta_b_prime - bi.sigma_prime)
-    sin2 = math.sin(theta) ** 2
-    sc = math.sin(theta) * math.cos(theta)
-
-    def comm(a, b):
-        return a @ b - b @ a
-
-    rho = tau.copy()
-    rho += 0.25 * sin2 * comm(sp_, tau @ sm_) * app
-    rho += 0.25 * sin2 * comm(sm_, tau @ sp_) * apm
-    if not math.isinf(beta):
-        # thermal pieces: beta * tau * (X X^dag - <X X^dag>), traceless
-        def thermal(op, a_val):
-            mean = float(np.trace(tau @ op).real)
-            return beta * (tau @ op - mean * tau) * a_val
-
-        rho += 0.25 * sin2 * thermal(sm_ @ sp_, bi.a_plus)
-        rho += 0.25 * sin2 * thermal(sp_ @ sm_, bi.a_minus)
-        rho += math.cos(theta) ** 2 * thermal(sz_ @ sz_, bi.q)
-    # cross terms between distinct Bohr frequencies
-    rho += (sc / (2.0 * wl)) * (comm(sz_, sp_ @ tau) + comm(tau @ sm_, sz_)) * bi.a_plus
-    rho -= (sin2 / (8.0 * wl)) * (comm(sp_, sp_ @ tau) + comm(tau @ sm_, sm_)) * bi.a_plus
-    rho -= (sc / (2.0 * wl)) * (comm(sm_, sz_ @ tau) + comm(tau @ sz_, sp_)) * bi.q
-    rho += (sc / (2.0 * wl)) * (comm(sp_, sz_ @ tau) + comm(tau @ sz_, sm_)) * bi.q
-    rho += (sin2 / (8.0 * wl)) * (comm(sm_, sm_ @ tau) + comm(tau @ sp_, sp_)) * bi.a_minus
-    rho -= (sc / (2.0 * wl)) * (comm(sz_, sm_ @ tau) + comm(tau @ sp_, sz_)) * bi.a_minus
-    return rho
+    _, _, d, e, f = _wk_bands(params)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + np.diag(f, 2) + np.diag(f, -2)

@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 4e-3
-DEFAULT_FLOOR = 0.1
 # classification uses an absolute-difference metric (floor 1.0 swamps the
 # normalized components, which never exceed 1); this choice, together with
 # the narrow default Lorentzian below, is what places the T = 0 boundaries
@@ -69,7 +68,7 @@ class RegimePoint:
 
 
 def approx_error(exact: SpinExpectation, approx: SpinExpectation,
-                 floor: float = DEFAULT_FLOOR) -> float:
+                 floor: float = CLASSIFY_FLOOR) -> float:
     """max over components of |approx - exact| / max(|exact|, floor).
 
     The denominator floor keeps the metric finite where a component crosses

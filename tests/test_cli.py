@@ -248,3 +248,15 @@ def test_correspondence_command(tmp_path):
              if not ln.startswith("#")]
     assert lines[0] == "n,beta_prime,sz,sx"
     assert len(lines) == 1 + 3 * 2
+
+
+def test_regime_atlas_has_metadata_header(tmp_path):
+    # the atlas CSV carries the command and version lines like every other
+    # table, next to the atlas's own metric line
+    out = tmp_path / "atlas.csv"
+    assert run(["regimes", "--flavor", "classical", "--zeta-grid", "log:0.1:1:2",
+                "--t-half", "1", "--no-cache", "--output", str(out)]) == 0
+    head = [ln for ln in out.read_text().split("\n") if ln.startswith("#")]
+    assert "# command = regimes" in head
+    assert f"# version = {cli.__version__}" in head
+    assert any(ln.startswith("# metric = ") for ln in head)

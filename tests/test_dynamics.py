@@ -10,11 +10,9 @@ import pytest
 
 from meanforce.classical import cmf_expectations
 from meanforce.dynamics import (
-    DynState,
     SimConfig,
     _init_ensemble,
     _StepKernel,
-    langevin_step,
     simulate_steady,
 )
 from meanforce.model import LorentzianBath, ModelParams, beta_from_t_half
@@ -53,20 +51,22 @@ def test_free_precession():
     s0 = 0.5
     bath = LorentzianBath.from_q(0.0, omega_0=7.0, gamma_w=1e-12)
     p = ModelParams(n=1, omega_l=1.0, theta=0.3, bath=bath, beta=math.inf)
-    cfg = SimConfig(dt=0.002, t_burn=1.0, t_sample=1.0)
+    dt = 0.002
+    kern = _StepKernel(p, dt, 1)
     rng = np.random.default_rng(0)
     v = math.pi / 3
-    st = DynState(s=s0 * np.array([math.sin(v), 0.0, math.cos(v)]),
-                  x=0.0, p=0.0, t=0.0)
-    sz0 = st.s[2]
+    sx, sy, sz = (np.array([s0 * math.sin(v)]), np.zeros(1),
+                  np.array([s0 * math.cos(v)]))
+    x, mom = np.zeros(1), np.zeros(1)
+    sz0 = float(sz[0])
     for _ in range(500):
-        st = langevin_step(st, p, cfg, rng)
-    t = 500 * cfg.dt
-    assert st.s[2] == pytest.approx(sz0, abs=1e-10)
+        sx, sy, sz, x, mom = kern.step(sx, sy, sz, x, mom, rng)
+    t = 500 * dt
+    assert sz[0] == pytest.approx(sz0, abs=1e-10)
     expected = s0 * math.sin(v) * np.array([math.cos(t), -math.sin(t)])
-    assert st.s[0] == pytest.approx(expected[0], abs=1e-6)
-    assert st.s[1] == pytest.approx(expected[1], abs=1e-6)
-    assert np.linalg.norm(st.s) == pytest.approx(s0, abs=1e-12)
+    assert sx[0] == pytest.approx(expected[0], abs=1e-6)
+    assert sy[0] == pytest.approx(expected[1], abs=1e-6)
+    assert math.hypot(sx[0], sy[0], sz[0]) == pytest.approx(s0, abs=1e-12)
 
 
 def test_oscillator_equipartition():
@@ -75,16 +75,18 @@ def test_oscillator_equipartition():
     bath = LorentzianBath.from_q(1e-8, omega_0=2.0, gamma_w=1.0)
     p = ModelParams(n=1, omega_l=1.0, theta=0.5, bath=bath, beta=1.0)
     cfg = SimConfig(dt=0.02, t_burn=20.0, t_sample=400.0, stride=5, seed=3)
+    kern = _StepKernel(p, cfg.dt, 1)
     rng = np.random.default_rng(5)
-    st = DynState(s=np.array([0.0, 0.0, 0.5]), x=0.0, p=0.0, t=0.0)
+    sx, sy, sz = np.zeros(1), np.zeros(1), np.array([0.5])
+    x, mom = np.zeros(1), np.zeros(1)
     xs, ps = [], []
     n_burn = int(cfg.t_burn / cfg.dt)
     n_samp = int(cfg.t_sample / cfg.dt)
     for k in range(n_burn + n_samp):
-        st = langevin_step(st, p, cfg, rng)
+        sx, sy, sz, x, mom = kern.step(sx, sy, sz, x, mom, rng)
         if k >= n_burn and k % cfg.stride == 0:
-            xs.append(st.x)
-            ps.append(st.p)
+            xs.append(float(x[0]))
+            ps.append(float(mom[0]))
     kbt = 1.0
     n_eff = len(xs) / 20.0  # generous correlation-time discount
     for val, target in ((4.0 * np.mean(np.square(xs)), kbt),

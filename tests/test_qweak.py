@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import exprel
 
 from meanforce.model import BareQBath, LorentzianBath, ModelParams
-from meanforce.qspin import spin_operators
+from meanforce.qspin import spin_operators, thermal_state
 from meanforce.qweak import bath_a, bath_combos, qmf_wk_expectations, qmf_wk_state
 
 BATH = LorentzianBath(a_lor=98.0, omega_0=7.0, gamma_w=5.0)  # Q = 1
@@ -105,6 +105,69 @@ def test_wk_requires_lorentzian_bath():
         qmf_wk_state(p)
 
 
+def _dense_wk_state(params):
+    """The second-order mean-force state as dense commutator products.
+
+    Assembled from the energy eigenoperators of the coupling direction,
+    X(-1) = -(1/2)sin(theta) S-, X(0) = cos(theta) Sz,
+    X(+1) = -(1/2)sin(theta) S+, with Bohr frequencies +wl, 0, -wl, along
+    the Taylor-expansion route (Cresser & Anders, PRL 127, 250601 (2021)),
+    so the correction is traceless by construction.
+    """
+    beta, theta, wl = params.beta, params.theta, params.omega_l
+    so = spin_operators(params.n)
+    sp_, sm_, sz_ = so.s_plus, so.s_minus, so.sz
+    tau = thermal_state(-wl * sz_, beta)
+    if beta == 0.0:
+        return tau
+    bi = bath_combos(params.bath, beta, wl)
+    app = 0.5 * (bi.delta_b_prime + bi.sigma_prime)
+    apm = 0.5 * (bi.delta_b_prime - bi.sigma_prime)
+    sin2 = math.sin(theta) ** 2
+    sc = math.sin(theta) * math.cos(theta)
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    rho = tau.copy()
+    rho += 0.25 * sin2 * comm(sp_, tau @ sm_) * app
+    rho += 0.25 * sin2 * comm(sm_, tau @ sp_) * apm
+    if not math.isinf(beta):
+        # thermal pieces: beta * tau * (X X^dag - <X X^dag>), traceless
+        def thermal(op, a_val):
+            mean = float(np.trace(tau @ op).real)
+            return beta * (tau @ op - mean * tau) * a_val
+
+        rho += 0.25 * sin2 * thermal(sm_ @ sp_, bi.a_plus)
+        rho += 0.25 * sin2 * thermal(sp_ @ sm_, bi.a_minus)
+        rho += math.cos(theta) ** 2 * thermal(sz_ @ sz_, bi.q)
+    # cross terms between distinct Bohr frequencies
+    rho += (sc / (2.0 * wl)) * (comm(sz_, sp_ @ tau) + comm(tau @ sm_, sz_)) * bi.a_plus
+    rho -= (sin2 / (8.0 * wl)) * (comm(sp_, sp_ @ tau) + comm(tau @ sm_, sm_)) * bi.a_plus
+    rho -= (sc / (2.0 * wl)) * (comm(sm_, sz_ @ tau) + comm(tau @ sz_, sp_)) * bi.q
+    rho += (sc / (2.0 * wl)) * (comm(sp_, sz_ @ tau) + comm(tau @ sz_, sm_)) * bi.q
+    rho += (sin2 / (8.0 * wl)) * (comm(sm_, sm_ @ tau) + comm(tau @ sp_, sp_)) * bi.a_minus
+    rho -= (sc / (2.0 * wl)) * (comm(sz_, sm_ @ tau) + comm(tau @ sp_, sz_)) * bi.a_minus
+    return rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 40, 100])
+def test_wk_state_matches_dense_assembly(n):
+    # Q = alpha omega_l / S0, the package's large-spin scaling; at fixed Q
+    # the rounding of both assemblies grows like beta Q S0^2 eps
+    for beta in (0.0, 0.5, 2.0, 10.0, math.inf):
+        for theta in (0.0, 0.4, math.pi / 4, math.pi / 2):
+            p = make_params(alpha=0.05, beta=beta, theta=theta, n=n,
+                            omega_l=1.3)
+            ref = _dense_wk_state(p)
+            rho = qmf_wk_state(p)
+            label = f"beta={beta} theta={theta:.3f}"
+            assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max(), label
+            # every term moves m by at most 2
+            i, j = np.indices(rho.shape)
+            assert np.all(rho[np.abs(i - j) > 2] == 0.0), label
+
+
 @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
 @pytest.mark.parametrize("n", [1, 3])
 def test_wk_state_matches_expectations(beta, n):
@@ -113,8 +176,8 @@ def test_wk_state_matches_expectations(beta, n):
     so = spin_operators(n)
     s0 = n / 2.0
     e = qmf_wk_expectations(p)
-    assert float(np.trace(rho @ so.sz).real) / s0 == pytest.approx(e.sz, abs=1e-10)
-    assert float(np.trace(rho @ so.sx).real) / s0 == pytest.approx(e.sx, abs=1e-10)
+    assert float(np.trace(rho @ so.sz).real) / s0 == pytest.approx(e.sz, abs=1e-13)
+    assert float(np.trace(rho @ so.sx).real) / s0 == pytest.approx(e.sx, abs=1e-13)
 
 
 def test_wk_state_invariants():

@@ -19,15 +19,15 @@ from meanforce.solvers import SOLVERS
 
 def test_approx_error_metric():
     a = SpinExpectation(sz=0.5, sx=-0.1)
-    assert approx_error(a, a) == 0.0
+    assert approx_error(a, a, floor=0.1) == 0.0
     b = SpinExpectation(sz=0.5, sx=-0.1004)
-    assert approx_error(a, b) == pytest.approx(0.004, rel=1e-12)
+    assert approx_error(a, b, floor=0.1) == pytest.approx(0.004, rel=1e-12)
     # floor denominator engages when a component sits at zero
     zero = SpinExpectation(sz=0.0, sx=0.0)
     off = SpinExpectation(sz=0.001, sx=0.0)
-    assert approx_error(zero, off) == pytest.approx(0.01, rel=1e-12)
-    # the absolute-difference variant used by the classifier
-    assert approx_error(zero, off, floor=1.0) == pytest.approx(0.001, rel=1e-12)
+    assert approx_error(zero, off, floor=0.1) == pytest.approx(0.01, rel=1e-12)
+    # the absolute-difference default used by the classifier
+    assert approx_error(zero, off) == pytest.approx(0.001, rel=1e-12)
 
 
 def make_params(zeta_val, t_half, theta=math.pi / 4, n=1):
