@@ -6,7 +6,7 @@ weak-coupling and ultrastrong limits, regime classification, and a
 classical Langevin dynamics cross-check.
 """
 
-__version__ = "0.3.4"
+__version__ = "0.3.5"
 
 from .model import (
     BareQBath,
@@ -32,7 +32,7 @@ from .classical import (
     cmf_sample,
     cmf_wk_expectations,
 )
-from .qspin import QuGibbsStats, SpinOperators, qu_gibbs_stats, spin_operators, thermal_state
+from .qspin import QuGibbsStats, qu_gibbs_stats, s_theta, spin_moments, sz_ladder, thermal_state
 from .qweak import BathIntegrals, bath_a, bath_combos, qmf_wk_expectations, qmf_wk_state
 from .qrc import RcNotConverged, RcParams, RcResult, rc_expectations, rc_hamiltonian, rc_mf_state, rc_params
 from .limits import correspondence_sweep, mll_bare_ratio, us_expectations, us_quantum_state

@@ -46,14 +46,19 @@ class QuadratureNotConverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ClassicalMoments:
-    """Partition function and normalized spin moments of a classical state."""
+    """Log partition function and normalized spin moments of a classical
+    state; z_part is the partition function, inf past the float range."""
 
-    z_part: float
+    log_z: float
     sz: float
     sx: float
     quad_err: float = 0.0
     sz_err: float = 0.0
     sx_err: float = 0.0
+
+    @property
+    def z_part(self) -> float:
+        return math.exp(self.log_z) if self.log_z < 709.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -82,21 +87,20 @@ def _langevin(x: float) -> float:
 def cl_gibbs_stats(x: float) -> ClassicalMoments:
     """Classical Gibbs spin moments at x = beta*omega_l*S0.
 
-    Z = sinh(x)/x and <sz> = coth(x) - 1/x.  Series are used near x = 0
+    ln Z = ln(sinh(x)/x) and <sz> = coth(x) - 1/x.  Series are used near x = 0
     and the aligned limit at x = inf.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
     if math.isinf(x):
-        return ClassicalMoments(z_part=math.inf, sz=1.0, sx=0.0)
+        return ClassicalMoments(log_z=math.inf, sz=1.0, sx=0.0)
     if x < 0.05:
-        z = 1.0 + x**2 / 6.0 + x**4 / 120.0
+        log_z = math.log1p(x**2 / 6.0 + x**4 / 120.0)
         sz = _langevin(x)
     else:
-        coth = 1.0 / math.tanh(x)
-        z = math.sinh(x) / x if x < 700 else math.inf
-        sz = coth - 1.0 / x
-    return ClassicalMoments(z_part=z, sz=sz, sx=0.0)
+        log_z = x + float(_log_sinhc_less_r(x))
+        sz = 1.0 / math.tanh(x) - 1.0 / x
+    return ClassicalMoments(log_z=log_z, sz=sz, sx=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +264,7 @@ def _cmf_zero_temperature(theta: float, zeta: float) -> ClassicalMoments:
     kept = _zero_temperature_maxima(theta, zeta)
     sz = sum(math.cos(x) for x in kept) / len(kept)
     sx = sum(math.sin(x) for x in kept) / len(kept)
-    return ClassicalMoments(z_part=math.inf, sz=sz, sx=sx, quad_err=0.0)
+    return ClassicalMoments(log_z=math.inf, sz=sz, sx=sx, quad_err=0.0)
 
 
 def cmf_expectations(params: ModelParams, tol: float = 1e-10) -> ClassicalMoments:
@@ -288,17 +292,15 @@ def cmf_expectations(params: ModelParams, tol: float = 1e-10) -> ClassicalMoment
         _bath_average(theta, x1, x2, *_panel_nodes(breaks, rule))
         for rule in _RULES)
     err = max(abs(sz - sz_a), abs(sx - sx_a))
-    z = math.inf
     if lz + x2 < 709.0:
         # Z's error counts only where Z is finite: beyond, the log-weights
         # are large enough that their rounding alone exceeds tol
-        z = math.exp(lz + x2)
         err = max(err, abs(math.expm1(lz - lz_a)))
     if not err < tol:
         raise QuadratureNotConverged(
             f"bath-coordinate quadrature not converged: err={err:.3e} "
             f"at x1={x1:.6g}, x2={x2:.6g}")
-    return ClassicalMoments(z_part=z, sz=sz, sx=sx, quad_err=err)
+    return ClassicalMoments(log_z=lz + x2, sz=sz, sx=sx, quad_err=err)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,7 @@ def cmf_sample(params: ModelParams, seed: int, count: int) -> ClassicalMoments:
 
     sz, sz_err = ratio_estimate(cos_v)
     sx, sx_err = ratio_estimate(sin_v * np.cos(phi))
-    z = math.exp(shift) * wsum / count if shift < 700 else math.inf
     return ClassicalMoments(
-        z_part=z, sz=sz, sx=sx, quad_err=0.0, sz_err=sz_err, sx_err=sx_err
+        log_z=shift + math.log(wsum / count), sz=sz, sx=sx, quad_err=0.0,
+        sz_err=sz_err, sx_err=sx_err
     )

@@ -254,6 +254,14 @@ def _echo_metadata(args, command: str) -> dict:
     return meta
 
 
+def _add_echo(table: SweepTable, args, command: str) -> SweepTable:
+    """The command's metadata after a library table's own; the table's keys
+    win (its theta is in radians, the flag's may read pi/4)."""
+    for key, val in _echo_metadata(args, command).items():
+        table.metadata.setdefault(key, val)
+    return table
+
+
 def _cached(cache, payload: dict, compute):
     """The cached value for payload, computed and stored on a miss."""
     key = canonical_key(payload)
@@ -315,8 +323,7 @@ def _run_regimes(args, cache) -> SweepTable:
                              tol=args.regime_tol, floor=args.floor,
                              omega_l=args.omega_l, omega_0=args.omega_0,
                              gamma_w=args.gamma_w)
-        table.metadata.update(_echo_metadata(args, "regimes"))
-        return table
+        return _add_echo(table, args, "regimes")
     table = SweepTable(
         columns=("t_half", "zeta_uw_wk", "zeta_wk_im", "zeta_im_us"),
         metadata=_echo_metadata(args, "regimes"))
@@ -347,14 +354,15 @@ def _run_density_map(args, cache) -> SweepTable:
     q = _coupling_q(args)
     beta = beta_from_t_spin(args.t_spin, args.n, args.omega_l)
     params = _model_params(args, q, beta)
-    z_part = cmf_expectations(params).z_part
+    # tau = exp(lw) / Z in log space: at low temperature both overflow
+    log_z = cmf_expectations(params).log_z
     table = SweepTable(columns=("v_theta", "phi", "tau_mf"),
                        metadata=_echo_metadata(args, "density-map"))
     from .classical import SphericalPoint
     for v in np.linspace(0.0, math.pi, args.v_count):
         for phi in np.linspace(0.0, 2.0 * math.pi, args.phi_count):
             lw = cmf_logweight(SphericalPoint(float(v), float(phi)), params)
-            table.append(float(v), float(phi), math.exp(lw) / z_part)
+            table.append(float(v), float(phi), math.exp(lw - log_z))
     return table
 
 
@@ -386,8 +394,7 @@ def _run_correspondence(args, cache) -> SweepTable:
                                  n_list=n_list, method=args.method,
                                  omega_l=args.omega_l, omega_0=args.omega_0,
                                  gamma_w=args.gamma_w)
-    table.metadata.update(_echo_metadata(args, "correspondence"))
-    return table
+    return _add_echo(table, args, "correspondence")
 
 
 def run(argv=None) -> int:
@@ -401,8 +408,8 @@ def run(argv=None) -> int:
             return int(exc.code or 0)
         if getattr(pre, "config", None):
             file_vals = read_config_file(pre.config)
-            sub_map = {a.dest: a for a in
-                       parser._subparsers._group_actions[0].choices[pre.command]._actions}
+            sub_parser = parser._subparsers._group_actions[0].choices[pre.command]
+            sub_map = {a.dest: a for a in sub_parser._actions}
             defaults = {}
             for key, val in file_vals.items():
                 if key not in sub_map:
@@ -413,8 +420,6 @@ def run(argv=None) -> int:
                 elif isinstance(action, argparse._StoreTrueAction):
                     val = val.lower() in ("1", "true", "yes")
                 defaults[key] = val
-            parser.parse_args([pre.command], namespace=argparse.Namespace())
-            sub_parser = parser._subparsers._group_actions[0].choices[pre.command]
             sub_parser.set_defaults(**defaults)
         try:
             args = parser.parse_args(argv)

@@ -370,4 +370,4 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
             fh.write("t,sx,sy,sz,X,P\n" + rows + "\n")
 
     return SpinExpectation(sz=out_z, sx=out_x, sz_err=sz_err, sx_err=sx_err,
-                           method="langevin", converged=True)
+                           method="langevin")

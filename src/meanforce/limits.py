@@ -19,7 +19,7 @@ import numpy as np
 
 from .classical import _us_tanh, us_expectations
 from .model import LorentzianBath, ModelParams, alpha_scaling
-from .qspin import qu_gibbs_stats, spin_operators
+from .qspin import qu_gibbs_stats, s_theta, spin_moments
 from .results import SweepTable
 from .solvers import SOLVERS
 
@@ -43,23 +43,16 @@ def us_quantum_state(params: ModelParams) -> UsState:
     """Ultrastrong quantum mean-force density matrix.
 
     rho = (1/2)[P+ + P- + (P+ - P-) tanh(beta*omega_l*S0*cos(theta))] where
-    P(+-) project on the extremal S_theta eigenvectors exp(i*theta*Sy)|+-S0>.
+    P(+-) project on the eigenvectors of S_theta at its extreme eigenvalues
+    +-S0, the last and first columns of one real eigh.
     """
-    n = params.n
-    so = spin_operators(n)
-    # exp(i*theta*Sy) via eigendecomposition of Sy
-    evals, evecs = np.linalg.eigh(so.sy)
-    u = (evecs * np.exp(1j * params.theta * evals)[None, :]) @ evecs.conj().T
-    top = u[:, 0]      # rotated |+S0>
-    bot = u[:, n]      # rotated |-S0>
-    p_plus = np.outer(top, top.conj())
-    p_minus = np.outer(bot, bot.conj())
+    _, vecs = np.linalg.eigh(s_theta(params.n, params.theta))
+    p_plus = np.outer(vecs[:, -1], vecs[:, -1])
+    p_minus = np.outer(vecs[:, 0], vecs[:, 0])
     t = _us_tanh(params)
     rho = 0.5 * (p_plus + p_minus + t * (p_plus - p_minus))
-    s0 = params.s0
-    sz = float(np.trace(rho @ so.sz).real) / s0
-    sx = float(np.trace(rho @ so.sx).real) / s0
-    return UsState(rho=rho, sz=sz, sx=sx)
+    sz, sx = spin_moments(rho)
+    return UsState(rho=rho, sz=sz / params.s0, sx=sx / params.s0)
 
 
 def mll_bare_ratio(beta_prime: float, n: int, omega_l: float = 1.0) -> float:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .model import LorentzianBath, ModelParams
-from .qspin import gibbs_weights, spin_operators
+from .qspin import gibbs_weights, s_theta, spin_moments, sz_ladder
 from .results import SpinExpectation
 
 __all__ = [
@@ -56,7 +56,6 @@ class RcParams:
 class RcResult:
     rho: np.ndarray
     n_used: int
-    converged: bool
     z_mf: Optional[float] = None
 
 
@@ -89,14 +88,13 @@ def rc_hamiltonian(params: ModelParams, rc: RcParams) -> np.ndarray:
     dim = (params.n + 1) * n_osc
     if dim > _DIM_LIMIT:
         raise ValueError(f"composite dimension {dim} exceeds {_DIM_LIMIT}")
-    so = spin_operators(params.n)
-    ident_s = np.eye(params.n + 1)
+    m, _ = sz_ladder(params.n)
     num = np.diag(np.arange(n_osc, dtype=float))
     a = np.diag(np.sqrt(np.arange(1, n_osc, dtype=float)), k=1)
     x_op = a + a.T
-    h = (np.kron(-params.omega_l * so.sz.real, np.eye(n_osc))
-         + np.kron(ident_s, rc.omega_rc * num)
-         + rc.lambda_rc * np.kron(so.s_theta(params.theta).real, x_op))
+    h = (np.kron(np.diag(-params.omega_l * m), np.eye(n_osc))
+         + np.kron(np.eye(params.n + 1), rc.omega_rc * num)
+         + rc.lambda_rc * np.kron(s_theta(params.n, params.theta), x_op))
     return h
 
 
@@ -127,7 +125,6 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
     """
     if not isinstance(params.bath, LorentzianBath):
         raise TypeError("reaction-coordinate mapping requires a Lorentzian bath")
-    so = spin_operators(params.n)
     d_spin = params.n + 1
     beta = params.beta
     prev = None
@@ -145,17 +142,15 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
         # in place, and reshaped as a view: no dim x dim temporaries
         vecs *= np.sqrt(w)
         v = vecs.reshape(d_spin, -1)
-        rho = (v @ v.T / w.sum()).astype(complex)
-        sz = float(np.trace(rho @ so.sz).real)
-        sx = float(np.trace(rho @ so.sx).real)
+        rho = v @ v.T / w.sum()
+        sz, sx = spin_moments(rho)
         if prev is not None and abs(sz - prev[0]) < tol and abs(sx - prev[1]) < tol:
             z_mf = None
             if not math.isinf(beta):
                 log_zr = _log_geometric(beta * rc.omega_rc, n_levels)
                 log_z_mf = -beta * evals[0] + math.log(w.sum()) - log_zr
                 z_mf = math.exp(log_z_mf) if log_z_mf < 709.0 else math.inf
-            return RcResult(rho=rho, n_used=n_levels, converged=True,
-                            z_mf=z_mf)
+            return RcResult(rho=rho, n_used=n_levels, z_mf=z_mf)
         prev = (sz, sx)
         n_levels *= 2
     raise RcNotConverged(
@@ -163,17 +158,9 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
     )
 
 
-def rc_expectations(result: RcResult, ops=None) -> SpinExpectation:
-    """Normalized spin expectations of a reduced state."""
-    if not result.converged:
-        raise ValueError("result is not converged")
-    d = result.rho.shape[0]
-    if ops is None:
-        ops = spin_operators(d - 1)
-    s0 = (d - 1) / 2.0
-    sz = float(np.trace(result.rho @ ops.sz).real) / s0
-    sx = float(np.trace(result.rho @ ops.sx).real) / s0
-    sy = float(np.trace(result.rho @ ops.sy).real) / s0
-    return SpinExpectation(sz=sz, sx=sx, sy=sy, method="rc",
-                           converged=result.converged,
+def rc_expectations(result: RcResult) -> SpinExpectation:
+    """Spin expectations of a reduced state, normalized by S0."""
+    s0 = (result.rho.shape[0] - 1) / 2.0
+    sz, sx = spin_moments(result.rho)
+    return SpinExpectation(sz=sz / s0, sx=sx / s0, method="rc",
                            n_rc_used=result.n_used)

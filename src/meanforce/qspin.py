@@ -1,20 +1,25 @@
-"""Spin operators and the bare quantum Gibbs state.
+"""The spin-S0 Sz basis and the bare quantum Gibbs state.
 
-Dense spin-S0 matrices in the Sz eigenbasis (descending m = S0 .. -S0), the
-closed-form partition function and <Sz> of the bare Hamiltonian
-H_S = -omega_l*Sz, and a generic finite-dimensional thermal state.
+Every spin state and operator of this package is real in the Sz eigenbasis
+(descending m = S0 .. -S0): H_S = -omega_l*Sz is diagonal there and
+S_theta = cos(theta)*Sz - sin(theta)*Sx is real tridiagonal.  This module
+is the one place that knows that basis: the ladder (m_j, a_j), the
+coupling operator S_theta, the spin moments of a state, the bare Gibbs
+weights, and a generic finite-dimensional thermal state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SpinOperators",
-    "spin_operators",
+    "sz_ladder",
+    "s_theta",
+    "spin_moments",
     "QuGibbsStats",
     "qu_gibbs_stats",
     "gibbs_weights",
@@ -22,37 +27,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Dense angular momentum matrices for spin S0 = n/2 (hbar = 1)."""
-
-    dim: int
-    sz: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-
-    def s_theta(self, theta: float) -> np.ndarray:
-        """Coupling direction operator Sz*cos(theta) - Sx*sin(theta)."""
-        return math.cos(theta) * self.sz - math.sin(theta) * self.sx
-
-
-def spin_operators(n: int) -> SpinOperators:
-    """Spin matrices in the Sz eigenbasis ordered m = S0, S0-1, ..., -S0."""
+@functools.lru_cache(maxsize=128)
+def sz_ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, a) for spin S0 = n/2: m_j = S0 - j (j = 0..n), the Sz eigenvalues,
+    and a_j = <m_j + 1|S+|m_j> = sqrt(j(n + 1 - j)) (j = 1..n), the ladder
+    elements.  Read-only arrays, cached per n."""
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
-    s0 = n / 2.0
-    m = s0 - np.arange(n + 1)
-    sz = np.diag(m).astype(complex)
-    # <m+1|S+|m> = sqrt(S0(S0+1) - m(m+1))
-    up = np.sqrt(s0 * (s0 + 1.0) - m[1:] * (m[1:] + 1.0))
-    sp = np.zeros((n + 1, n + 1), dtype=complex)
-    sp[np.arange(n), np.arange(1, n + 1)] = up
-    sm = sp.conj().T
-    sx = 0.5 * (sp + sm)
-    sy = -0.5j * (sp - sm)
-    return SpinOperators(dim=n + 1, sz=sz, sx=sx, sy=sy, s_plus=sp, s_minus=sm)
+    j = np.arange(n + 1.0)
+    m, a = n / 2.0 - j, np.sqrt(j[1:] * (n + 1.0 - j[1:]))
+    m.flags.writeable = a.flags.writeable = False
+    return m, a
+
+
+def s_theta(n: int, theta: float) -> np.ndarray:
+    """The coupling direction Sz*cos(theta) - Sx*sin(theta), a real
+    tridiagonal matrix in the Sz basis (<m_j - 1|Sx|m_j> = a_j/2)."""
+    m, a = sz_ladder(n)
+    out = np.diag(math.cos(theta) * m)
+    off = -math.sin(theta) * (0.5 * a)
+    i = np.arange(n)
+    out[i, i + 1] = out[i + 1, i] = off
+    return out
+
+
+def spin_moments(rho: np.ndarray) -> tuple[float, float]:
+    """(<Sz>, <Sx>) of a real symmetric state in the Sz basis:
+    sum m_j rho_jj and sum a_j rho_(j-1, j), summed exactly (fsum)."""
+    m, a = sz_ladder(rho.shape[0] - 1)
+    return (math.fsum(m * np.diagonal(rho)),
+            math.fsum(a * np.diagonal(rho, 1)))
 
 
 @dataclass(frozen=True)
@@ -61,40 +65,17 @@ class QuGibbsStats:
     m1: float  # <Sz>
 
 
-def _moments_by_sum(b: float, n: int) -> QuGibbsStats:
-    s0 = n / 2.0
-    m = s0 - np.arange(n + 1)
-    w = np.exp(b * (m - s0))  # shift by the largest exponent
-    z = float(w.sum())
-    m1 = float((w * m).sum()) / z
-    z0 = z * math.exp(b * s0) if b * s0 < 700 else math.inf
-    return QuGibbsStats(z0=z0, m1=m1)
-
-
 def qu_gibbs_stats(beta: float, n: int, omega_l: float) -> QuGibbsStats:
     """Partition function and <Sz> for H_S = -omega_l*Sz at inverse
-    temperature beta.
-
-    Z0 = sinh(b(S0+1/2))/sinh(b/2) with b = beta*omega_l; <Sz> is the
-    derivative of log Z0 in b.  The direct diagonal sum is
-    used where the closed forms lose digits (small b) or overflow (large b).
-    """
-    s0 = n / 2.0
+    temperature beta, from the Gibbs weights on the ladder.  z0 is inf past
+    the float range and at beta = inf."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    if math.isinf(beta):
-        return QuGibbsStats(z0=math.inf, m1=s0)
-    b = beta * omega_l
-    sp = s0 + 0.5
-    if b == 0.0:
-        return QuGibbsStats(z0=float(n + 1), m1=0.0)
-    if b * sp < 0.5 or b * sp > 350.0:
-        return _moments_by_sum(b, n)
-    ch = 1.0 / math.tanh(0.5 * b)
-    cs = 1.0 / math.tanh(b * sp)
-    z0 = math.sinh(b * sp) / math.sinh(0.5 * b)
-    m1 = sp * cs - 0.5 * ch
-    return QuGibbsStats(z0=z0, m1=m1)
+    m, _ = sz_ladder(n)
+    w = gibbs_weights(-omega_l * m, beta)  # exp(-beta E) / exp(shift)
+    z, shift = math.fsum(w), beta * omega_l * m[0]
+    z0 = z * math.exp(shift) if shift < 700.0 else math.inf
+    return QuGibbsStats(z0=z0, m1=math.fsum(w * m) / z)
 
 
 def gibbs_weights(evals: np.ndarray, beta: float) -> np.ndarray:

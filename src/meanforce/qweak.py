@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .model import LorentzianBath, ModelParams
-from .qspin import gibbs_weights
+from .qspin import gibbs_weights, sz_ladder
 from .results import SpinExpectation
 
 __all__ = [
@@ -236,8 +236,8 @@ def _require_lorentzian(params: ModelParams) -> LorentzianBath:
 
 
 def _wk_bands(params: ModelParams):
-    """The Sz basis m_j = S0 - j, the ladder elements a_j = <m_j + 1|S+|m_j>
-    (j = 1..n) and the diagonals d_j = rho[j, j], e_j = rho[j-1, j],
+    """The Sz ladder m_j = S0 - j, a_j = <m_j + 1|S+|m_j> (j = 1..n) of
+    sz_ladder and the diagonals d_j = rho[j, j], e_j = rho[j-1, j],
     f_j = rho[j-2, j] of the second-order mean-force state (Cresser & Anders,
     PRL 127, 250601 (2021)), as (m, a, d, e, f).  H_S = -omega_l Sz is
     diagonal and the coupling's eigenoperators -(1/2)sin S-, cos Sz and
@@ -256,11 +256,10 @@ def _wk_bands(params: ModelParams):
     is dropped there; beta = 0 gives p.
     """
     bath = _require_lorentzian(params)
-    beta, theta, wl, n, s0 = (params.beta, params.theta, params.omega_l,
-                              params.n, params.s0)
-    j = np.arange(n + 2.0)
-    a2 = j * (n + 1.0 - j)  # S0(S0 + 1) - m_j(m_j + 1), j = 0..n+1
-    m, a = s0 - j[:-1], np.sqrt(a2[1:-1])
+    beta, theta, wl, n = params.beta, params.theta, params.omega_l, params.n
+    m, a = sz_ladder(n)
+    a2 = np.zeros(n + 2)  # a_j^2 for j = 0..n+1, zero past the ends
+    a2[1:-1] = np.rint(a * a)  # the integers j(n + 1 - j), exactly
     pe = np.zeros(n + 3)  # pe[j + 1] = p_j, zero past the ends
     p = pe[1:-1]
     p[:] = gibbs_weights(-wl * m, beta)
@@ -276,6 +275,9 @@ def _wk_bands(params: ModelParams):
     d = p + s2 * (app * (a2[1:] * pe[2:] - up) + apm * (a2[:-1] * pe[:-2] - dn))
     if not math.isinf(beta):
         z = s2 * (ap * a2[:-1] + am * a2[1:]) + math.cos(theta) ** 2 * q * m * m
+        # z relative to its value at the largest weight: p.z then cancels
+        # no terms of size Q S0^2
+        z -= z[np.argmax(p)]
         d += beta * p * (z - p @ z)
     mp = m * p
     e = sc / (2.0 * wl) * a * (ap * p[1:] + am * p[:-1]

@@ -12,19 +12,17 @@ __all__ = ["SpinExpectation", "SweepTable", "format_sig"]
 class SpinExpectation:
     """Normalized spin components with diagnostic metadata.
 
-    sz, sx are <Sz>/S0 and <Sx>/S0; sy is kept only as a diagnostic (it is
-    zero for every method in this package).  sz_err/sx_err are statistical
+    sz, sx are <Sz>/S0 and <Sx>/S0 (<Sy> is zero for every method in this
+    package, so it is not carried).  sz_err/sx_err are statistical
     or quadrature error estimates where available, otherwise 0.  n_rc_used
     is the oscillator cutoff of a reaction-coordinate solve, otherwise 0.
     """
 
     sz: float
     sx: float
-    sy: float = 0.0
     sz_err: float = 0.0
     sx_err: float = 0.0
     method: str = ""
-    converged: bool = True
     n_rc_used: int = 0
 
 

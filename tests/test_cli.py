@@ -200,6 +200,20 @@ def test_density_map_is_normalised(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("t_spin", [0.001, 0.0025])
+def test_density_map_at_low_temperature(tmp_path, t_spin):
+    # exp(lw) and Z both overflow here; their ratio does not
+    out = tmp_path / "d.csv"
+    assert run(["density-map", "--theta", "pi/4", "--alpha", "1",
+                "--t-spin", str(t_spin), "--v-count", "7", "--phi-count", "9",
+                "--no-cache", "--output", str(out)]) == 0
+    lines = [ln for ln in out.read_text().strip().split("\n")
+             if not ln.startswith("#")]
+    dens = np.array([float(ln.split(",")[2]) for ln in lines[1:]])
+    assert np.all(np.isfinite(dens))
+    assert dens.max() > 0.0
+
+
 def test_density_map_rejects_zero_temperature(tmp_path):
     assert run(["density-map", "--theta", "pi/4", "--alpha", "1",
                 "--t-spin", "0", "--no-cache",
@@ -248,6 +262,16 @@ def test_correspondence_command(tmp_path):
              if not ln.startswith("#")]
     assert lines[0] == "n,beta_prime,sz,sx"
     assert len(lines) == 1 + 3 * 2
+
+
+def test_correspondence_keeps_the_tables_theta(tmp_path):
+    # the library writes theta in radians; the flag's pi/4 does not replace it
+    out = tmp_path / "corr.csv"
+    assert run(["correspondence", "--theta", "pi/4", "--t-spin", "1",
+                "--n-list", "1", "--no-cache", "--output", str(out)]) == 0
+    theta = [ln.split("=", 1)[1] for ln in out.read_text().split("\n")
+             if ln.startswith("# theta =")]
+    assert len(theta) == 1 and float(theta[0]) == math.pi / 4
 
 
 def test_regime_atlas_has_metadata_header(tmp_path):

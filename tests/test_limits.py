@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_spin import spin_operators
 from meanforce.limits import (
     correspondence_sweep,
     mll_bare_ratio,
@@ -12,7 +13,6 @@ from meanforce.limits import (
     us_quantum_state,
 )
 from meanforce.model import LorentzianBath, ModelParams
-from meanforce.qspin import spin_operators
 
 
 def make_params(theta=math.pi / 4, beta=2.0, n=1, omega_l=1.0):
@@ -50,6 +50,28 @@ def test_us_quantum_state_matches_closed_form(n):
     assert np.linalg.eigvalsh(rho).min() > -1e-12
     # the state lives on the two extremal S_theta eigenvectors
     assert np.linalg.matrix_rank(rho, tol=1e-10) <= 2
+
+
+def _rotated_us_state(params):
+    """The ultrastrong state from the projectors on exp(i theta Sy)|+-S0>,
+    a complex rotation of the dense operators."""
+    n = params.n
+    so = spin_operators(n)
+    evals, evecs = np.linalg.eigh(so.sy)
+    u = (evecs * np.exp(1j * params.theta * evals)[None, :]) @ evecs.conj().T
+    p_plus = np.outer(u[:, 0], u[:, 0].conj())
+    p_minus = np.outer(u[:, n], u[:, n].conj())
+    t = math.tanh(params.beta * params.omega_l * params.s0 * math.cos(params.theta))
+    return 0.5 * (p_plus + p_minus + t * (p_plus - p_minus))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.2])
+def test_us_quantum_state_matches_rotated_projectors(n, theta):
+    p = make_params(theta=theta, beta=0.7, n=n)
+    rho = us_quantum_state(p).rho
+    assert rho.dtype == np.float64
+    assert np.abs(rho - _rotated_us_state(p)).max() <= 1e-14
 
 
 def test_us_projectors_are_s_theta_extremes():

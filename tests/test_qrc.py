@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from dense_spin import spin_operators
 from meanforce.limits import us_expectations
 from meanforce.model import BareQBath, LorentzianBath, ModelParams, beta_from_t_half
 from meanforce.qrc import (
@@ -17,7 +18,7 @@ from meanforce.qrc import (
     rc_mf_state,
     rc_params,
 )
-from meanforce.qspin import spin_operators, thermal_state
+from meanforce.qspin import thermal_state
 from meanforce.qweak import qmf_wk_expectations
 
 
@@ -62,6 +63,21 @@ def test_rc_hamiltonian_structure():
     assert np.allclose(evals, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 4, math.pi / 2])
+def test_rc_hamiltonian_matches_dense_kron(n, theta):
+    # the ladder assembly is bit-identical to the dense complex operators'
+    # real parts: a_j^2 = j(n + 1 - j) is an exact integer in both
+    p = make_params(zeta_val=1.3, theta=theta, n=n)
+    rc = rc_params(p.bath, n_levels=8)
+    so = spin_operators(n)
+    a = np.diag(np.sqrt(np.arange(1, 8, dtype=float)), k=1)
+    ref = (np.kron(-p.omega_l * so.sz.real, np.eye(8))
+           + np.kron(np.eye(n + 1), rc.omega_rc * np.diag(np.arange(8.0)))
+           + rc.lambda_rc * np.kron(so.s_theta(theta).real, a + a.T))
+    assert np.array_equal(rc_hamiltonian(p, rc), ref)
+
+
 def test_rc_dimension_guard():
     p = make_params(n=100)
     with pytest.raises(ValueError, match="dimension"):
@@ -104,8 +120,8 @@ def test_rc_approaches_ultrastrong_limit():
 def test_rc_state_invariants_and_zmf():
     p = make_params(zeta_val=1.0, beta=1.0)
     res = rc_mf_state(p)
-    assert res.converged
     rho = res.rho
+    assert rho.dtype == np.float64
     assert rho.shape == (2, 2)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(rho, rho.conj().T, atol=1e-12)
@@ -182,11 +198,3 @@ def test_rc_not_converged_raises():
     p = make_params(zeta_val=100.0, beta=math.inf)
     with pytest.raises(RcNotConverged):
         rc_mf_state(p, tol=1e-10, n_max=32)
-
-
-def test_rc_expectations_rejects_unconverged():
-    from meanforce.qrc import RcResult
-
-    bad = RcResult(rho=np.eye(2) / 2.0, n_used=16, converged=False)
-    with pytest.raises(ValueError):
-        rc_expectations(bad)

@@ -1,4 +1,5 @@
-"""Spin matrices, bare quantum Gibbs moments, and the generic thermal state."""
+"""The Sz-basis kernel, bare quantum Gibbs moments, and the generic thermal
+state; the dense spin matrices of dense_spin are the independent reference."""
 
 import math
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from meanforce.qspin import qu_gibbs_stats, spin_operators, thermal_state
+from dense_spin import spin_operators
+from meanforce.qspin import (qu_gibbs_stats, s_theta, spin_moments, sz_ladder,
+                             thermal_state)
 
 
 def comm(a, b):
@@ -44,6 +47,39 @@ def test_s_theta_direction():
 def test_spin_operators_validation():
     with pytest.raises(ValueError):
         spin_operators(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 100])
+def test_sz_ladder_matches_dense_operators_bitwise(n):
+    so = spin_operators(n)
+    m, a = sz_ladder(n)
+    assert np.array_equal(m, np.diag(so.sz).real)
+    assert np.array_equal(a, np.diag(so.s_plus, 1).real)
+    assert sz_ladder(n) is sz_ladder(n)
+    with pytest.raises(ValueError):
+        m[0] = 0.0  # the cached arrays are read-only
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 4, math.pi / 2, 2.5])
+def test_s_theta_matches_dense_operators_bitwise(n, theta):
+    ref = spin_operators(n).s_theta(theta)
+    assert np.array_equal(s_theta(n, theta), ref.real)
+    assert not np.any(ref.imag)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 100])
+def test_spin_moments_match_dense_traces(n):
+    rng = np.random.default_rng(n)
+    so = spin_operators(n)
+    for _ in range(5):
+        b = rng.normal(size=(n + 1, n + 1))
+        rho = b @ b.T
+        rho /= np.trace(rho)
+        sz, sx = spin_moments(rho)
+        assert sz == pytest.approx(np.trace(rho @ so.sz).real, abs=1e-14)
+        assert sx == pytest.approx(np.trace(rho @ so.sx).real, abs=1e-14)
+        assert abs(np.trace(rho @ so.sy)) < 1e-14  # real states carry no <Sy>
 
 
 def test_gibbs_stats_spin_half_closed_form():

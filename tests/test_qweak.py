@@ -8,8 +8,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import exprel
 
+from dense_spin import spin_operators
 from meanforce.model import BareQBath, LorentzianBath, ModelParams
-from meanforce.qspin import spin_operators, thermal_state
+from meanforce.qspin import thermal_state
 from meanforce.qweak import bath_a, bath_combos, qmf_wk_expectations, qmf_wk_state
 
 BATH = LorentzianBath(a_lor=98.0, omega_0=7.0, gamma_w=5.0)  # Q = 1
@@ -166,6 +167,51 @@ def test_wk_state_matches_dense_assembly(n):
             # every term moves m by at most 2
             i, j = np.indices(rho.shape)
             assert np.all(rho[np.abs(i - j) > 2] == 0.0), label
+
+
+def _longdouble_wk_state(p):
+    """The bands of the second-order state by the formulas of
+    qweak._wk_bands, in extended precision, from the float64 bath integrals."""
+    ld = np.longdouble
+    bi = bath_combos(p.bath, p.beta, p.omega_l)
+    ap, am, q = ld(bi.a_plus), ld(bi.a_minus), ld(bi.q)
+    app = (ld(bi.delta_b_prime) + ld(bi.sigma_prime)) / 2
+    apm = (ld(bi.delta_b_prime) - ld(bi.sigma_prime)) / 2
+    beta, wl, th, n = ld(p.beta), ld(p.omega_l), ld(p.theta), p.n
+    s2, sc, c2 = np.sin(th) ** 2 / 4, np.sin(th) * np.cos(th), np.cos(th) ** 2
+    j = np.arange(n + 2, dtype=ld)
+    a2 = j * (n + 1 - j)
+    m, a = n / ld(2) - j[:-1], np.sqrt(a2[1:-1])
+    pe = np.zeros(n + 3, dtype=ld)
+    pe[1:-1] = np.exp(beta * wl * (m - m[0]))
+    pe /= pe.sum()
+    pj = pe[1:-1]
+    z = s2 * (ap * a2[:-1] + am * a2[1:]) + c2 * q * m * m
+    d = (pj + s2 * (app * (a2[1:] * pe[2:] - a2[:-1] * pj)
+                    + apm * (a2[:-1] * pe[:-2] - a2[1:] * pj))
+         + beta * pj * (z - pj @ z))
+    mp = m * pj
+    e = sc / (2 * wl) * a * (ap * pj[1:] + am * pj[:-1]
+                             - 2 * q * (mp[:-1] - mp[1:]))
+    f = s2 / (2 * wl) * a[:-1] * a[1:] * (ap * (pj[1:-1] - pj[2:])
+                                          + am * (pj[:-2] - pj[1:-1]))
+    return (np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + np.diag(f, 2)
+            + np.diag(f, -2))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4])
+@pytest.mark.parametrize("beta", [2.0, 10.0])
+@pytest.mark.parametrize("n", [40, 100])
+def test_wk_state_thermal_term_keeps_its_digits(n, beta, theta):
+    # at fixed Q the beta term sums terms of size beta Q S0^2; taken relative
+    # to the largest weight's z they no longer cancel
+    p = ModelParams(n=n, omega_l=1.3, theta=theta, beta=beta,
+                    bath=LorentzianBath.from_q(1.3, 7.0, 5.0))
+    ref = _longdouble_wk_state(p)
+    err = np.abs(qmf_wk_state(p) - ref).max() / np.abs(ref).max()
+    assert err <= 1e-14
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
