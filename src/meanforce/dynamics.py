@@ -13,10 +13,12 @@ exactly the classical mean-force state.  Long-time averages therefore
 converge to cmf_expectations; the transient evolution is a faithful damped
 precession but is not calibrated against any particular reference method.
 
-Integration uses a Strang splitting: half update of (X, P) including an
-exact Ornstein-Uhlenbeck substep for the damped momentum, an exact rotation
-of the spin about the instantaneous effective field, then the mirrored half
-update.  The rotation preserves |s| to machine precision.
+Integration uses a Strang splitting: half update of (X, P), an exact
+rotation of the spin about the instantaneous effective field, then the
+mirrored half update.  The damped momentum takes one exact Ornstein-Uhlenbeck
+step over dt next to the rotation, which does not read P; this is the same
+Markov chain as two OU half-steps around the rotation, with one normal per
+step.  The rotation preserves |s| to machine precision.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _zero_temperature_maxima
+from .classical import _bath_panels, _bath_terms, _zero_temperature_maxima
 from .model import ModelParams
 from .results import SpinExpectation
 
@@ -56,6 +58,8 @@ class SimConfig:
     ensemble: int = 64
 
     def validate(self, params: ModelParams) -> None:
+        if not all(map(math.isfinite, (self.dt, self.t_burn, self.t_sample))):
+            raise ValueError("dt, t_burn and t_sample must be finite")
         bath = params.bath
         rate = max(params.omega_l, bath.omega_0, bath.gamma_w)
         if self.dt <= 0 or self.dt > 0.05 / rate:
@@ -86,7 +90,7 @@ class _StepKernel:
         c = bath.omega_0 * math.sqrt(2.0 * params.q)
         sin_t, cos_t = math.sin(params.theta), math.cos(params.theta)
         h = 0.5 * dt
-        c1 = math.exp(-bath.gamma_w * h)
+        c1 = math.exp(-bath.gamma_w * dt)
         # the step's scalars are 0-d arrays: numpy converts a Python float
         # operand on every call, which at small ensembles costs more than
         # the arithmetic
@@ -118,7 +122,7 @@ class _StepKernel:
         x += a
 
     def _ou(self, p, rng):
-        """Exact Ornstein-Uhlenbeck half step of the damped momentum."""
+        """Exact Ornstein-Uhlenbeck step of the damped momentum over dt."""
         a = self._tmp[0]
         rng.standard_normal(out=a)
         a *= self.noise_std
@@ -132,7 +136,8 @@ class _StepKernel:
         a, b, kx, kz, ca, sn = self._tmp
         nx, ny, nz = self._spin
 
-        # half update of (X, P): kick, drift, exact OU on the momentum
+        # half update of (X, P): kick, drift; then the momentum's whole OU
+        # step, since the rotation does not read P
         self._kick(sx, sz, x, p)
         self._drift(x, p)
         self._ou(p, rng)
@@ -182,33 +187,30 @@ class _StepKernel:
         self._spin = sx, sy, sz
 
         # mirrored half update of (X, P)
-        self._ou(p, rng)
         self._drift(x, p)
         self._kick(nx, nz, x, p)
         return nx, ny, nz, x, p
 
 
-# the start's inverse-CDF grid: polar rows by azimuths; its running sums
-# are made _ROWS rows at a time and kept at every _SEG-th column (2881 =
-# 43 * 67), and draws recompute up to _BATCH of those segments at a time
-_N_V, _N_PHI, _ROWS, _SEG, _BATCH = 1441, 2881, 64, 67, 2048
+# trapezoid intervals per unit panel of the bath coordinate's inverse CDF:
+# its log-weight is -u^2/2 plus a convex function of u, so every peak is at
+# least about 1 wide
+_U_NODES = 64
 
 
 def _init_ensemble(params: ModelParams, kern: _StepKernel, n_traj: int, rng):
-    """Draw (s, X, P) close to equilibrium so burn-in only has to remove
-    the coupling-induced part of the distribution.
+    """Draw (s, X, P) from the stationary law, so burn-in only has to
+    remove the step's discretization bias.
 
-    At T > 0 the spin direction is drawn from the stationary spin marginal
-    itself, because relaxation toward it can be very slow when the
-    precession frequency is far off resonance from the collective mode:
-    inverse CDF on a 1441 x 2881 (v, phi) sphere grid, then uniform jitter
-    within the cell.  The grid is never held whole: one pass keeps the
-    running sum at the end of each 67-column segment, and each draw
-    recomputes its segment from the sum before it.  Every sum is rounded
-    as one cumsum over the whole grid rounds it, so the draws are those of
-    the dense grid, bit for bit.  X follows its conditional Gibbs law given
-    the spin, centered on -c*s_theta/omega_0^2 with variance
-    kBT/omega_0^2.
+    At T > 0 the draw is exact.  The Gaussian identity that turns the cmf
+    sphere integral into a 1D integral (see cmf_expectations) makes the
+    spin, jointly with the scaled bath coordinate u, von Mises-Fisher about
+    the field h = x1 z + sigma u e_theta given u.  So u is drawn by inverse
+    CDF of its 1D marginal (a trapezoid CDF on the cmf panels), then the
+    spin's cosine w about k = h/|h| by the closed-form inverse CDF
+    w = 1 + log(1 + xi (e^-2r - 1)) / r, r = |h| (Wood 1994), with a
+    uniform azimuth about k.  X follows its conditional Gibbs law given the
+    spin, centered on -c*s_theta/omega_0^2 with variance kBT/omega_0^2.
 
     At T = 0 member k starts on the (k mod m)-th of the m global maxima of
     -H_eff, with X at its conditional mean and P = 0.  Without noise each
@@ -222,72 +224,31 @@ def _init_ensemble(params: ModelParams, kern: _StepKernel, n_traj: int, rng):
         s_theta = sz * kern.cos_t - sx * kern.sin_t
         return sx, sy, sz, -kern.c * s_theta / kern.w0sq, np.zeros(n_traj)
 
-    v_grid = np.linspace(0.0, math.pi, _N_V)
-    dv = v_grid[1] - v_grid[0]
-    p_grid = np.arange(_N_PHI) * (2.0 * math.pi / _N_PHI)
-    dp = p_grid[1] - p_grid[0]
-    cos_v, sin_v, cos_p = np.cos(v_grid), np.sin(v_grid), np.cos(p_grid)
+    theta = params.theta
     x1 = params.beta * params.omega_l * s0
     x2 = params.beta * params.q * s0 * s0
+    u = np.concatenate([np.linspace(b[0], b[-1], _U_NODES * (len(b) - 1) + 1)
+                        for b in _bath_panels(x1, x2)])
+    lw = _bath_terms(theta, x1, x2, u)[0]
+    w = np.exp(lw - lw.max())
+    cdf = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) * np.diff(u))])
+    xi = rng.random((3, n_traj))
+    u = np.interp(xi[0] * cdf[-1], cdf, u)
 
-    def log_weight(rows, cp):
-        """x1 cos v + x2 S_theta^2 on the grid rows by the azimuths cp."""
-        st = sin_v[rows, None] * cp
-        st *= kern.sin_t
-        np.subtract(kern.cos_t * cos_v[rows, None], st, out=st)
-        lw = st * x2
-        lw *= st
-        lw += x1 * cos_v[rows, None]
-        return lw
-
-    # each rounded step is monotone in cos(phi) (sin_t, sin_v, x2 >= 0), so
-    # a row's largest log-weight sits in the column of the largest or the
-    # smallest cos(phi)
-    top = log_weight(slice(None),
-                     cos_p[[cos_p.argmax(), cos_p.argmin()]]).max()
-
-    def weights(rows, cp):
-        w = log_weight(rows, cp)
-        w -= top
-        np.exp(w, out=w)
-        w *= sin_v[rows, None]
-        return w
-
-    # one cumsum over the whole grid, a block of rows at a time
-    n_seg = _N_PHI // _SEG
-    marks = np.empty(_N_V * n_seg)
-    total = 0.0
-    for r0 in range(0, _N_V, _ROWS):
-        rows = slice(r0, min(r0 + _ROWS, _N_V))
-        w = weights(rows, cos_p)
-        w[0, 0] += total
-        # in place (w is contiguous, so ravel is a view): a new array per
-        # block costs more in page faults than the sums
-        np.cumsum(w, out=w.ravel())
-        marks[r0 * n_seg:rows.stop * n_seg] = w[:, _SEG - 1::_SEG].ravel()
-        total = w[-1, -1]
-
-    # the first mark >= the target closes the segment it falls in; the
-    # segments, in increasing order and laid end to end, still rise
-    target = rng.random(n_traj) * total
-    seg_of = np.searchsorted(marks, target)
-    segs = np.unique(seg_of)
-    iv, ip = seg_of // n_seg, np.empty(n_traj, dtype=np.intp)
-    for b0 in range(0, len(segs), _BATCH):
-        seg = segs[b0:b0 + _BATCH]
-        cols = (seg % n_seg * _SEG)[:, None] + np.arange(_SEG)
-        w = weights(seg // n_seg, cos_p[cols])
-        w[:, 0] += np.where(seg > 0, marks[seg - 1], 0.0)
-        np.cumsum(w, axis=1, out=w)
-        sel = np.flatnonzero((seg_of >= seg[0]) & (seg_of <= seg[-1]))
-        ip[sel] = cols.ravel()[np.searchsorted(w.ravel(), target[sel])]
-
-    v = np.clip(v_grid[iv] + (rng.random(n_traj) - 0.5) * dv, 0.0, math.pi)
-    phi = p_grid[ip] + rng.random(n_traj) * dp
-    sin_vt = np.sin(v)
-    sx = s0 * sin_vt * np.cos(phi)
-    sy = s0 * sin_vt * np.sin(phi)
-    sz = s0 * np.cos(v)
+    # h = (hx, 0, hz) and r = |h|, as in _bath_terms; the frame about
+    # k = h/r is (kz, 0, -kx) and y_hat
+    y = math.sqrt(2.0 * x2) * u
+    hx, hz = -y * math.sin(theta), x1 + y * math.cos(theta)
+    r = np.hypot(hx, hz)
+    kx, kz = hx / r, hz / r
+    one_less_w = -np.log1p(xi[1] * np.expm1(-2.0 * r)) / r
+    cos_k = 1.0 - one_less_w
+    sin_k = np.sqrt(np.maximum(one_less_w * (2.0 - one_less_w), 0.0))
+    phi = 2.0 * math.pi * xi[2]
+    across = sin_k * np.cos(phi)
+    sx = s0 * (cos_k * kx + across * kz)
+    sy = s0 * sin_k * np.sin(phi)
+    sz = s0 * (cos_k * kz - across * kx)
     s_theta = sz * kern.cos_t - sx * kern.sin_t
     x_std = math.sqrt(kern.kbt) / params.bath.omega_0
     x = -kern.c * s_theta / kern.w0sq + rng.standard_normal(n_traj) * x_std
@@ -300,14 +261,14 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
     """Time-and-ensemble averaged normalized spin after burn-in.
 
     Ensemble members share one vectorized counter-based generator seeded
-    from cfg.seed, so results are deterministic per seed.  The step works
-    in place on a fixed set of ensemble-sized arrays and the start streams
-    its sphere grid, so memory beyond those arrays stays at a few MB.  The
-    standard error treats each member's time average as one independent
-    block.  At beta = inf the members start on the least-energy
-    orientations (see _init_ensemble), which the noiseless step leaves
-    fixed, so no step is taken: the result is the start's ensemble mean,
-    with standard errors 0.
+    from cfg.seed, so results are deterministic per seed.  At T > 0 the
+    start is an exact draw from the stationary law (see _init_ensemble),
+    and the step works in place on a fixed set of ensemble-sized arrays, so
+    memory stays at a few such arrays.  The standard error treats each
+    member's time average as one independent block.  At beta = inf the
+    members start on the least-energy orientations (see _init_ensemble),
+    which the noiseless step leaves fixed, so no step is taken: the result
+    is the start's ensemble mean, with standard errors 0.
     If trajectory_path is given, member 0 is dumped there as CSV rows
     (t, sx, sy, sz, X, P) at stride intervals.
     """

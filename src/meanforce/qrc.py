@@ -150,6 +150,8 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
                 log_zr = _log_geometric(beta * rc.omega_rc, n_levels)
                 log_z_mf = -beta * evals[0] + math.log(w.sum()) - log_zr
                 z_mf = math.exp(log_z_mf) if log_z_mf < 709.0 else math.inf
+            # the result is memoised and shared: callers may not write it
+            rho.flags.writeable = False
             return RcResult(rho=rho, n_used=n_levels, z_mf=z_mf)
         prev = (sz, sx)
         n_levels *= 2

@@ -8,7 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanforce.classical import cmf_expectations
+from meanforce.classical import (
+    _RULES,
+    _bath_panels,
+    _bath_terms,
+    _panel_nodes,
+    cmf_expectations,
+)
 from meanforce.dynamics import (
     SimConfig,
     _init_ensemble,
@@ -36,6 +42,12 @@ def test_sim_config_validation():
         SimConfig(dt=0.005, t_burn=1.0, t_sample=1.0, stride=0).validate(p)
     with pytest.raises(ValueError):
         SimConfig(dt=0.005, t_burn=1.0, t_sample=1.0, ensemble=0).validate(p)
+    for bad in (math.inf, math.nan):
+        for cfg in (SimConfig(dt=bad, t_burn=0.1, t_sample=0.1),
+                    SimConfig(dt=0.005, t_burn=bad, t_sample=0.1),
+                    SimConfig(dt=0.005, t_burn=0.1, t_sample=bad)):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_steady(p, cfg)
 
 
 def test_theta_zero_rejected():
@@ -158,27 +170,27 @@ def test_trajectory_dump(tmp_path):
 STREAM_POINTS = [(math.pi / 4, 2.0, 1.0, 1), (1.2, 14.0, 0.5, 1),
                  (0.3, 0.5, 4.0, 3)]
 STREAM_PINS = {
-    (0, 1): (-0.40046891390300166, 0.866216431625445, 0.0, 0.0),
-    (0, 7): (0.23914561586358424, -0.058344652281851477,
-             0.2116841705939289, 0.2263331773055464),
-    (0, 64): (0.34470416605834797, -0.046152545114445345,
-              0.06435876865385827, 0.06392478115036246),
-    (0, 4096): (0.33158140817731246, -0.07582176667600846,
-                0.008009391690844657, 0.00771955618076247),
-    (1, 1): (0.40159645773900315, -0.896271508209153, 0.0, 0.0),
-    (1, 7): (0.31985331036129006, -0.6385926214413743,
-             0.09561936852167223, 0.24474412036373477),
-    (1, 64): (0.28400048114891907, -0.539671800750986,
-              0.03436661518720867, 0.08850042587428723),
-    (1, 4096): (0.2779640373289216, -0.5273683336735777,
-                0.004255853099682005, 0.011011122096079441),
-    (2, 1): (0.8987919440453586, -0.30604202934836716, 0.0, 0.0),
-    (2, 7): (0.6319800680961389, -0.14963288894401308,
-             0.1304577848107976, 0.19001179661420933),
-    (2, 64): (0.34469188254888333, -0.04876909053049224,
-              0.0684194591464258, 0.06196722487896178),
-    (2, 4096): (0.2760854639699862, -0.013376687920862856,
-                0.008871570331435836, 0.007061768550728751),
+    (0, 1): (0.7363616923161597, -0.43594404133210146, 0.0, 0.0),
+    (0, 7): (0.42727510781487466, -0.022227379512987675,
+             0.19300815773885607, 0.2295159953115931),
+    (0, 64): (0.39653374578788225, 0.027724735259350944,
+              0.0644075249558076, 0.06204695666456017),
+    (0, 4096): (0.3335504222681828, -0.06179076545036487,
+                0.00783565940715884, 0.007911211254622661),
+    (1, 1): (0.43572993260020104, -0.8334167958476968, 0.0, 0.0),
+    (1, 7): (0.41567023163298744, -0.8659199259396467,
+             0.004890425713588536, 0.017215510827921103),
+    (1, 64): (0.2800496860272842, -0.5356505086620451,
+              0.03427194442756369, 0.0875984271171833),
+    (1, 4096): (0.2774696782948062, -0.5244436056456805,
+                0.004276476772391268, 0.011051915852817165),
+    (2, 1): (-0.9855451298812312, -0.0963647662547894, 0.0, 0.0),
+    (2, 7): (0.18195974824294092, -0.3419491262983588,
+             0.275764928716418, 0.11950614369970125),
+    (2, 64): (0.2522904819779021, 0.01111106208135912,
+              0.07422854292671606, 0.05968806824481647),
+    (2, 4096): (0.2868589556950423, -0.019757093371601732,
+                0.008758983892214885, 0.007069702907714537),
 }
 
 
@@ -202,12 +214,13 @@ def test_trajectory_dump_is_pinned(tmp_path):
     path = tmp_path / "traj.csv"
     simulate_steady(make_params(zeta_val=1.0), cfg, trajectory_path=str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "239d7a705a059fe3c75f88e27a9ac6c66b62befc72339bd16131669fd26f5dca")
+        "cc6825497cc24aa11affef46948cadf37ecb453e72f14cfa68f89d5197cb8c20")
 
 
 def test_simulation_memory_is_bounded():
-    # the start never holds its 1441 x 2881 sphere grid whole: one float
-    # array of it is 33 MB, and the dense start peaked above 100 MB here
+    # the start and the step hold a few ensemble-sized arrays (33 kB each
+    # here), and no grid over the sphere: one float array of a 1441 x 2881
+    # grid alone would be 33 MB
     p = make_params(zeta_val=2.0, beta=2.0)
     cfg = SimConfig(dt=0.007, t_burn=0.05, t_sample=0.05, seed=5,
                     ensemble=4096)
@@ -218,6 +231,56 @@ def test_simulation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+START_THETAS = [1e-3, 0.3, math.pi / 4, 1.2, math.pi / 2]
+START_QS = [0.0, 0.04, 2.0, 14.0, 500.0]
+START_T_HALFS = [0.05, 0.5, 4.0, 100.0]
+
+
+def _cmf_second_moments(p):
+    """<(sz/s0)^2> and <(sx/s0)^2> of the cmf state, by cmf's own 1D integral
+    over the bath coordinate: given it, the spin is von Mises-Fisher about
+    h with second moment (L(r)/r) I + (1 - 3 L(r)/r) k k^T, k = h/r."""
+    x1 = p.beta * p.omega_l * p.s0
+    x2 = p.beta * p.q * p.s0 ** 2
+    u, wts = _panel_nodes(_bath_panels(x1, x2), _RULES[1])
+    logw, gz, gx = _bath_terms(p.theta, x1, x2, u)
+    y = math.sqrt(2.0 * x2) * u
+    hz, hx = x1 + y * math.cos(p.theta), -y * math.sin(p.theta)
+    r2 = hz * hz + hx * hx
+    g = np.hypot(gz, gx) / np.sqrt(r2)
+    wt = wts * np.exp(logw - logw.max())
+    wt /= wt.sum()
+    return (float(wt @ (g + (1.0 - 3.0 * g) * hz * hz / r2)),
+            float(wt @ (g + (1.0 - 3.0 * g) * hx * hx / r2)))
+
+
+@pytest.mark.parametrize("theta", START_THETAS)
+def test_start_is_the_stationary_spin_law(theta):
+    # at T > 0 the start is an exact draw: its mean spin lies within 4.5
+    # standard errors of cmf, the errors taken from cmf's own variance
+    ens = 100_000
+    key = 100 * START_THETAS.index(theta)
+    for q in START_QS:
+        for t_half in START_T_HALFS:
+            for n in (1, 3):
+                key += 1
+                p = ModelParams(n=n, omega_l=1.0, theta=theta,
+                                bath=LorentzianBath.from_q(q, 7.0, 5.0),
+                                beta=beta_from_t_half(t_half))
+                sx, sy, sz, _, _ = _init_ensemble(
+                    p, _StepKernel(p, 1e-4, 1), ens,
+                    np.random.Generator(np.random.Philox(key=key)))
+                norm = np.sqrt(sx * sx + sy * sy + sz * sz)
+                assert np.max(np.abs(norm - p.s0)) <= 1e-12
+                ref = cmf_expectations(p)
+                for name, s, mean, second in zip(
+                        ("sz", "sx"), (sz, sx), (ref.sz, ref.sx),
+                        _cmf_second_moments(p)):
+                    se = math.sqrt((second - mean * mean) / ens)
+                    z = (float(np.mean(s)) / p.s0 - mean) / se
+                    assert abs(z) <= 4.5, (name, theta, q, t_half, n, z)
 
 
 @pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 4])

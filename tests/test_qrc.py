@@ -139,6 +139,15 @@ def test_rc_memo_is_bounded_and_returns_the_same_result():
     assert rc_expectations(first).n_rc_used == first.n_used
 
 
+def test_rc_memo_result_is_read_only():
+    # the memoised state is shared by every caller, so none may change it
+    p = make_params(zeta_val=0.5, theta=0.7, beta=2.0)
+    before = rc_expectations(rc_mf_state(p))
+    with pytest.raises(ValueError):
+        rc_mf_state(p).rho[0, 0] += 0.1
+    assert rc_expectations(rc_mf_state(p)) == before
+
+
 def _dense_reference(params, tol=1e-6, n_max=2048):
     """rc_mf_state by the dense route: at each cutoff the full composite
     thermal state, traced over the oscillator; ln Z from a second,
