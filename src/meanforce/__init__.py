@@ -6,13 +6,12 @@ weak-coupling and ultrastrong limits, regime classification, and a
 classical Langevin dynamics cross-check.
 """
 
-__version__ = "0.3.6"
+__version__ = "0.3.7"
 
 from .model import (
     BareQBath,
     LorentzianBath,
     ModelParams,
-    TemperatureScale,
     alpha_scaling,
     beta_from_t_half,
     beta_from_t_spin,

@@ -77,30 +77,54 @@ class SphericalPoint:
 # Gibbs closed forms
 
 
-def _langevin(x: float) -> float:
-    # L(x) = coth x - 1/x with series fallback
-    if x < 0.05:
-        return x / 3.0 - x**3 / 45.0 + 2.0 * x**5 / 945.0
-    return 1.0 / math.tanh(x) - 1.0 / x
+# L(x)/x = sum_k c_k x^(2k-2) for the Langevin function L = coth x - 1/x,
+# from L' = 1 - L^2 - 2L/x: c_1 = 1/3, (2k+1) c_k = -sum_(i+j=k) c_i c_j.
+# Below _SERIES_X, where the closed forms cancel, 16 terms of
+# h = (1/3 - L/x)/x^2 and 17 of ln(sinh x / x) = sum_k c_k x^2k / 2k are
+# exact to rounding.
+_SERIES_X = 1.0
+_C = [1.0 / 3.0]
+for _k in range(2, 18):
+    _C.append(-math.fsum(_C[i] * _C[_k - 2 - i] for i in range(_k - 1))
+              / (2 * _k + 1))
+_H_SERIES = [-c for c in _C[1:]]
+_LOG_SINHC_SERIES = [c / (2 * k) for k, c in enumerate(_C, 1)]
+
+
+def _series(coeffs, t: float) -> float:
+    """sum_k coeffs[k] t^k by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _langevin(x: float) -> tuple[float, float]:
+    """(L, b2) at finite x >= 0: the Langevin function L = coth x - 1/x and
+    b2 = 1 - 3L/x = 3 x^2 h, both without cancellation (see _C)."""
+    if x < _SERIES_X:
+        x2 = x * x
+        h = _series(_H_SERIES, x2)
+        return x * (1.0 / 3.0 - x2 * h), 3.0 * x2 * h
+    lang = 1.0 / math.tanh(x) - 1.0 / x
+    return lang, 1.0 - 3.0 * lang / x
 
 
 def cl_gibbs_stats(x: float) -> ClassicalMoments:
     """Classical Gibbs spin moments at x = beta*omega_l*S0.
 
-    ln Z = ln(sinh(x)/x) and <sz> = coth(x) - 1/x.  Series are used near x = 0
-    and the aligned limit at x = inf.
+    ln Z = ln(sinh(x)/x) and <sz> = coth(x) - 1/x.  Series are used below
+    x = 1 and the aligned limit at x = inf.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
     if math.isinf(x):
         return ClassicalMoments(log_z=math.inf, sz=1.0, sx=0.0)
-    if x < 0.05:
-        log_z = math.log1p(x**2 / 6.0 + x**4 / 120.0)
-        sz = _langevin(x)
+    if x < _SERIES_X:
+        log_z = x * x * _series(_LOG_SINHC_SERIES, x * x)
     else:
         log_z = x + float(_log_sinhc_less_r(x))
-        sz = 1.0 / math.tanh(x) - 1.0 / x
-    return ClassicalMoments(log_z=log_z, sz=sz, sx=0.0)
+    return ClassicalMoments(log_z=log_z, sz=_langevin(x)[0], sx=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +231,15 @@ def _bath_average(theta, x1, x2, u, w):
             float(wt @ fz) / total, float(wt @ fx) / total)
 
 
+def _coupling_cos(theta: float) -> float:
+    """cos(theta), exactly 0 at transverse coupling (|cos theta| < 1e-12):
+    cos of the float nearest pi/2 is 6e-17, which would populate one
+    S_theta branch more than the other and tilt the flat T = 0 maximum at
+    zeta = 1/2 by 4e-6."""
+    c = math.cos(theta)
+    return 0.0 if abs(c) < 1e-12 else c
+
+
 def _zero_temperature_maxima(theta: float, zeta: float) -> list[float]:
     """Angles psi of the global maxima of -H_eff, the T = 0 orientations.
 
@@ -217,11 +250,7 @@ def _zero_temperature_maxima(theta: float, zeta: float) -> list[float]:
     rounding; maximising g itself resolves only sqrt(eps).  Maxima within
     1e-9 of the range of g of the best are all kept.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    if abs(c) < 1e-12:
-        # transverse coupling, as in _us_tanh: cos of the float nearest pi/2
-        # is 6e-17, which would tilt the flat maximum at zeta = 1/2 by 4e-6
-        c = 0.0
+    c, s = _coupling_cos(theta), math.sin(theta)
 
     def shape(p):
         """g and its first two derivatives, on arrays or scalars."""
@@ -310,37 +339,30 @@ def cmf_expectations(params: ModelParams, tol: float = 1e-10) -> ClassicalMoment
 def cmf_wk_expectations(params: ModelParams) -> SpinExpectation:
     """Second-order (weak-coupling) CMF closed forms in scaled temperature.
 
-    sz = L(x) + (zeta/2)(1+3cos2theta)[csch^2 x + coth(x)/x - 2/x^2]
-    sx = -zeta sin2theta [1 - 3coth(x)/x + 3/x^2],  x = beta'*omega_l.
+    sz = L(x) + (zeta/2)(1+3cos2theta) b1,  b1 = csch^2 x + coth(x)/x - 2/x^2
+    sx = -zeta sin2theta b2,  b2 = 1 - 3coth(x)/x + 3/x^2,  x = beta'*omega_l.
+    Below x = 1, b1 = L^2 - b2 and b2 come from the series of _langevin.
     """
     zt = params.zeta
     theta = params.theta
     x = params.beta * params.s0 * params.omega_l
     if math.isinf(x):
-        b1, b2 = 0.0, 1.0
-        lang = 1.0
-    elif x < 0.05:
-        b1 = 2.0 * x**2 / 45.0 - 8.0 * x**4 / 945.0
-        b2 = x**2 / 15.0 - 2.0 * x**4 / 315.0
-        lang = _langevin(x)
+        lang, b1, b2 = 1.0, 0.0, 1.0
     else:
-        coth = 1.0 / math.tanh(x)
-        csch2 = coth**2 - 1.0
-        b1 = csch2 + coth / x - 2.0 / x**2
-        b2 = 1.0 - 3.0 * coth / x + 3.0 / x**2
-        lang = coth - 1.0 / x
+        lang, b2 = _langevin(x)
+        # L^2 - b2 cancels by a factor of about x at large x
+        b1 = (lang * lang - b2 if x < _SERIES_X
+              else 1.0 / math.tanh(x) ** 2 - 1.0 + (lang - 1.0 / x) / x)
     sz = lang + 0.5 * zt * (1.0 + 3.0 * math.cos(2.0 * theta)) * b1
     sx = -zt * math.sin(2.0 * theta) * b2
     return SpinExpectation(sz=sz, sx=sx, method="cmf_wk")
 
 
 def _us_tanh(params: ModelParams) -> float:
-    ct = math.cos(params.theta)
-    if abs(ct) < 1e-12:
+    ct = _coupling_cos(params.theta)
+    if ct == 0.0:
         # transverse coupling: both S_theta branches equally populated
         return 0.0
-    if math.isinf(params.beta):
-        return 1.0 if ct > 0 else 0.0
     return math.tanh(params.beta * params.omega_l * params.s0 * ct)
 
 

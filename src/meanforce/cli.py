@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -31,8 +32,10 @@ from .limits import correspondence_sweep
 from .model import (
     LorentzianBath,
     ModelParams,
+    alpha_scaling,
     beta_from_t_half,
     beta_from_t_spin,
+    spin_length,
 )
 from .qrc import RcNotConverged
 from .regimes import (CLASSIFY_FLOOR, DEFAULT_TOL, BoundaryNotFound,
@@ -63,6 +66,14 @@ def parse_angle(text: str) -> float:
         raise ConfigError(f"cannot parse angle {text!r}")
 
 
+def finite_float(text: str) -> float:
+    """float(text), rejecting NaN and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def parse_grid(spec: str) -> list:
     """min:max:count (linear) or log:min:max:count, or a single number."""
     spec = str(spec).strip()
@@ -72,12 +83,14 @@ def parse_grid(spec: str) -> list:
     parts = spec.split(":")
     try:
         if len(parts) == 1:
-            return [float(parts[0])]
+            return [finite_float(parts[0])]
         if len(parts) != 3:
             raise ValueError
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = finite_float(parts[0]), finite_float(parts[1])
+        count = int(parts[2])
     except ValueError:
-        raise ConfigError(f"grid spec must be min:max:count, got {spec!r}")
+        raise ConfigError("grid spec must be min:max:count of finite numbers,"
+                          f" got {spec!r}")
     if count < 1:
         raise ConfigError("grid count must be >= 1")
     if count == 1:
@@ -111,15 +124,18 @@ def read_config_file(path: str) -> dict:
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", default="pi/4", help="spin-bath angle (rad or pi/k)")
     p.add_argument("--n", type=int, default=1, help="spin size n (S0 = n/2)")
-    p.add_argument("--omega-l", type=float, default=1.0)
-    p.add_argument("--omega-0", type=float, default=7.0,
+    p.add_argument("--omega-l", type=finite_float, default=1.0)
+    p.add_argument("--omega-0", type=finite_float, default=7.0,
                    help="Lorentzian peak frequency")
-    p.add_argument("--gamma-w", type=float, default=5.0,
+    p.add_argument("--gamma-w", type=finite_float, default=5.0,
                    help="Lorentzian width")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--zeta", type=float, help="coupling zeta = Q S0 / omega_l")
-    g.add_argument("--alpha", type=float, help="coupling alpha (Q = alpha omega_l / S0)")
-    g.add_argument("--q", type=float, help="reorganization energy Q directly")
+    g.add_argument("--zeta", type=finite_float,
+                   help="coupling zeta = Q S0 / omega_l")
+    g.add_argument("--alpha", type=finite_float,
+                   help="coupling alpha (Q = alpha omega_l / S0)")
+    g.add_argument("--q", type=finite_float,
+                   help="reorganization energy Q directly")
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
@@ -128,7 +144,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", help="cache directory (or MEANFORCE_CACHE_DIR)")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, help="solver tolerance override")
+    p.add_argument("--tol", type=finite_float, help="solver tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--methods", default="cmf")
     p.add_argument("--zeta-grid", default="log:0.01:100:25")
-    p.add_argument("--t-half", type=float, default=1.0)
+    p.add_argument("--t-half", type=finite_float, default=1.0)
 
     p = sub.add_parser("regimes", help="regime boundaries or a full atlas")
     _add_common_args(p)
@@ -157,15 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("quantum", "classical"), default="quantum")
     p.add_argument("--t-half", default="0", help="grid or single value; 0 means T = 0")
     p.add_argument("--zeta-grid", help="if set, emit a label atlas instead of boundaries")
-    p.add_argument("--regime-tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--floor", type=float, default=CLASSIFY_FLOOR,
+    p.add_argument("--regime-tol", type=finite_float, default=DEFAULT_TOL)
+    p.add_argument("--floor", type=finite_float, default=CLASSIFY_FLOOR,
                    help="denominator floor of the error metric")
 
     p = sub.add_parser("density-map",
                        help="classical mean-force density on the sphere")
     _add_common_args(p)
     _add_model_args(p)
-    p.add_argument("--t-spin", type=float, default=1.0, help="kBT in units of S0 omega_l")
+    p.add_argument("--t-spin", type=finite_float, default=1.0,
+                   help="kBT in units of S0 omega_l")
     p.add_argument("--v-count", type=int, default=61)
     p.add_argument("--phi-count", type=int, default=121)
 
@@ -173,75 +190,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
     _add_model_args(p)
     p.add_argument("--t-half", default="0.05:4:10")
-    p.add_argument("--dt", type=float, help="time step (default 0.02/max rate)")
-    p.add_argument("--t-burn", type=float, default=20.0)
-    p.add_argument("--t-sample", type=float, default=200.0)
-    p.add_argument("--stride", type=int, default=10)
-    p.add_argument("--ensemble", type=int, default=64)
+    p.add_argument("--dt", type=finite_float,
+                   help="time step (default 0.02/max rate)")
+    p.add_argument("--t-burn", type=finite_float, default=SimConfig.t_burn)
+    p.add_argument("--t-sample", type=finite_float, default=SimConfig.t_sample)
+    p.add_argument("--stride", type=int, default=SimConfig.stride)
+    p.add_argument("--ensemble", type=int, default=SimConfig.ensemble)
     p.add_argument("--trajectory", help="optional member-0 trajectory CSV path")
 
     p = sub.add_parser("correspondence",
                        help="quantum WK/RC vs classical CMF across spin sizes")
     _add_common_args(p)
     p.add_argument("--theta", default="pi/4")
-    p.add_argument("--alpha", type=float, default=0.06)
+    p.add_argument("--alpha", type=finite_float, default=0.06)
     p.add_argument("--t-spin", default="0.05:5:25", help="kBT grid in units of S0 omega_l")
     p.add_argument("--n-list", default="1,2,5,100")
     p.add_argument("--method", choices=("WK", "RC"), default="WK")
-    p.add_argument("--omega-l", type=float, default=1.0)
-    p.add_argument("--omega-0", type=float, default=7.0)
-    p.add_argument("--gamma-w", type=float, default=5.0)
+    p.add_argument("--omega-l", type=finite_float, default=1.0)
+    p.add_argument("--omega-0", type=finite_float, default=7.0)
+    p.add_argument("--gamma-w", type=finite_float, default=5.0)
     return ap
 
 
 def _coupling_q(args) -> float:
-    s0 = args.n / 2.0
-    given = [v for v in (args.zeta, args.alpha, args.q) if v is not None]
-    if not given:
-        raise ConfigError("one of --zeta, --alpha, --q is required")
     if args.q is not None:
         return args.q
-    if args.zeta is not None:
-        return args.zeta * args.omega_l / s0
-    return args.alpha * args.omega_l / s0
+    scaled = args.zeta if args.zeta is not None else args.alpha
+    if scaled is None:
+        raise ConfigError("one of --zeta, --alpha, --q is required")
+    return alpha_scaling(scaled, spin_length(args.n), args.omega_l)
 
 
 def _model_params(args, q: float, beta: float) -> ModelParams:
     bath = LorentzianBath.from_q(q=q, omega_0=args.omega_0, gamma_w=args.gamma_w)
     return ModelParams(n=args.n, omega_l=args.omega_l, theta=args.theta_rad,
                        bath=bath, beta=beta)
-
-
-def _sim_config(args, params: ModelParams) -> SimConfig:
-    dt = getattr(args, "dt", None)
-    if dt is None:
-        rate = max(params.omega_l, params.bath.omega_0, params.bath.gamma_w)
-        dt = 0.02 / rate
-    return SimConfig(dt=dt,
-                     t_burn=getattr(args, "t_burn", 20.0),
-                     t_sample=getattr(args, "t_sample", 200.0),
-                     stride=getattr(args, "stride", 10),
-                     seed=args.seed,
-                     ensemble=getattr(args, "ensemble", 64))
-
-
-def _cache_payload(args, command: str, method: str, params: ModelParams,
-                   extra: dict) -> dict:
-    payload = {
-        "command": command,
-        "method": method,
-        "version": __version__,
-        "n": params.n,
-        "omega_l": params.omega_l,
-        "theta": params.theta,
-        "omega_0": params.bath.omega_0,
-        "gamma_w": params.bath.gamma_w,
-        "q": params.q,
-        "beta": repr(params.beta),
-        "tol": args.tol,
-    }
-    payload.update(extra)
-    return payload
 
 
 def _echo_metadata(args, command: str) -> dict:
@@ -277,6 +260,36 @@ def _spin_row(e) -> list:
     return [e.sz, e.sx, e.sz_err, e.sx_err]
 
 
+def _cell(args, cache, command: str, method: str, params: ModelParams,
+          trajectory_path=None) -> list:
+    """One cached (sz, sx, sz_err, sx_err) cell: a solver's, or at method
+    cdyn a Langevin run's with the command's simulation settings."""
+    payload = {
+        "command": command,
+        "method": method,
+        "version": __version__,
+        "n": params.n,
+        "omega_l": params.omega_l,
+        "theta": params.theta,
+        "omega_0": params.bath.omega_0,
+        "gamma_w": params.bath.gamma_w,
+        "q": params.q,
+        "beta": repr(params.beta),
+        "tol": args.tol,
+    }
+    if method == "cdyn":
+        cfg = SimConfig.for_params(params, **{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(SimConfig)
+            if getattr(args, f.name, None) is not None})
+        payload.update(dataclasses.asdict(cfg))
+        solve = functools.partial(simulate_steady, params, cfg,
+                                  trajectory_path=trajectory_path)
+    else:
+        solve = functools.partial(SOLVERS[method], params)
+    return _cached(cache, payload, lambda: _spin_row(solve()))
+
+
 def _run_sweep(args, cache, command: str) -> SweepTable:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
@@ -291,27 +304,17 @@ def _run_sweep(args, cache, command: str) -> SweepTable:
                 for t in parse_grid(args.t_half)]
     else:
         beta = beta_from_t_half(args.t_half, args.omega_l)
-        grid = []
-        for z in parse_grid(args.zeta_grid):
-            qz = z * args.omega_l / (args.n / 2.0)
-            grid.append(("zeta", z, _model_params(args, qz, beta)))
+        s0 = spin_length(args.n)
+        grid = [("zeta", z, _model_params(
+                    args, alpha_scaling(z, s0, args.omega_l), beta))
+                for z in parse_grid(args.zeta_grid)]
 
     axis = grid[0][0]
     table = SweepTable(columns=(axis, "method", "sz", "sx", "sz_err", "sx_err"),
                        metadata=_echo_metadata(args, command))
     for _, val, params in grid:
         for m in methods:
-            if m == "cdyn":
-                cfg = _sim_config(args, params)
-                payload = _cache_payload(args, command, m, params,
-                                         dataclasses.asdict(cfg))
-                row = _cached(cache, payload,
-                              lambda: _spin_row(simulate_steady(params, cfg)))
-            else:
-                payload = _cache_payload(args, command, m, params, {})
-                row = _cached(cache, payload,
-                              lambda: _spin_row(SOLVERS[m](params)))
-            table.append(val, m, *row)
+            table.append(val, m, *_cell(args, cache, command, m, params))
     return table
 
 
@@ -372,15 +375,11 @@ def _run_dynamics(args, cache) -> SweepTable:
     q = _coupling_q(args)
     table = SweepTable(columns=("t_half", "sz", "sx", "sz_err", "sx_err"),
                        metadata=_echo_metadata(args, "dynamics"))
-    t_vals = parse_grid(args.t_half)
-    for i, t_half in enumerate(t_vals):
+    for i, t_half in enumerate(parse_grid(args.t_half)):
         params = _model_params(args, q, beta_from_t_half(t_half, args.omega_l))
-        cfg = _sim_config(args, params)
-        payload = _cache_payload(args, "dynamics", "cdyn", params,
-                                 dataclasses.asdict(cfg))
-        traj = args.trajectory if (args.trajectory and i == 0) else None
-        table.append(t_half, *_cached(cache, payload, lambda: _spin_row(
-            simulate_steady(params, cfg, trajectory_path=traj))))
+        traj = args.trajectory if i == 0 else None
+        table.append(t_half, *_cell(args, cache, "dynamics", "cdyn", params,
+                                    traj))
     return table
 
 
@@ -447,12 +446,10 @@ def run(argv=None) -> int:
         print("wall time %.3f s, cache hits %d, misses %d"
               % (time.time() - t_start, cache.hits, cache.misses),
               file=sys.stderr)
-        text = table.to_csv()
         if args.output:
-            with open(args.output, "w", newline="") as fh:
-                fh.write(text)
+            table.to_csv(args.output)
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(table.to_csv())
         return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

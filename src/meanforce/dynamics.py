@@ -46,22 +46,34 @@ _THETA_MSG = (
 )
 
 
+def _max_rate(params: ModelParams) -> float:
+    """The fastest rate of the dynamics, max(omega_l, omega_0, Gamma)."""
+    return max(params.omega_l, params.bath.omega_0, params.bath.gamma_w)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Integration and sampling settings for the Langevin simulator."""
 
     dt: float
-    t_burn: float
-    t_sample: float
+    t_burn: float = 20.0
+    t_sample: float = 200.0
     stride: int = 10
     seed: int = 0
     ensemble: int = 64
 
+    @classmethod
+    def for_params(cls, params: ModelParams, dt=None,
+                   **settings) -> "SimConfig":
+        """Settings with dt = 0.02/max(omega_l, omega_0, Gamma) unless
+        given."""
+        return cls(dt=0.02 / _max_rate(params) if dt is None else dt,
+                   **settings)
+
     def validate(self, params: ModelParams) -> None:
         if not all(map(math.isfinite, (self.dt, self.t_burn, self.t_sample))):
             raise ValueError("dt, t_burn and t_sample must be finite")
-        bath = params.bath
-        rate = max(params.omega_l, bath.omega_0, bath.gamma_w)
+        rate = _max_rate(params)
         if self.dt <= 0 or self.dt > 0.05 / rate:
             raise ValueError(
                 "dt must satisfy 0 < dt <= 0.05/max(omega_l, omega_0, Gamma)"

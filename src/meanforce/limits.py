@@ -17,9 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classical import _us_tanh, us_expectations
-from .model import LorentzianBath, ModelParams, alpha_scaling
-from .qspin import qu_gibbs_stats, s_theta, spin_moments
+from .classical import _us_tanh, cl_gibbs_stats, us_expectations
+from .model import LorentzianBath, ModelParams, alpha_scaling, spin_length
+from .qspin import gibbs_weights, s_theta, spin_moments, sz_ladder
 from .results import SweepTable
 from .solvers import SOLVERS
 
@@ -59,14 +59,17 @@ def mll_bare_ratio(beta_prime: float, n: int, omega_l: float = 1.0) -> float:
     """Ratio of the normalized quantum bare-spin partition function to the
     classical one at fixed scaled temperature beta' = beta*S0.
 
-    Tends to 1 as n grows (the bare-spin large-spin limit)."""
+    Both partition functions are taken in log space, so the ratio stays
+    finite where either overflows.  Tends to 1 as n grows (the bare-spin
+    large-spin limit)."""
     if beta_prime <= 0:
         raise ValueError("beta_prime must be positive")
-    s0 = n / 2.0
-    zq = qu_gibbs_stats(beta_prime / s0, n, omega_l).z0 / (n + 1)
-    x = beta_prime * omega_l
-    zc = math.sinh(x) / x
-    return zq / zc
+    beta = beta_prime / spin_length(n)
+    m, _ = sz_ladder(n)
+    evals = -omega_l * m
+    log_zq = -beta * evals[0] + math.log(
+        math.fsum(gibbs_weights(evals, beta)) / (n + 1))
+    return math.exp(log_zq - cl_gibbs_stats(beta_prime * omega_l).log_z)
 
 
 def correspondence_sweep(alpha: float, theta: float,

@@ -19,7 +19,6 @@ __all__ = [
     "BareQBath",
     "BathSpec",
     "ModelParams",
-    "TemperatureScale",
     "spin_length",
     "lorentzian_q",
     "zeta",
@@ -32,6 +31,14 @@ __all__ = [
 ]
 
 
+def _check_finite(record, *fields) -> None:
+    """Raise ValueError naming the first of fields that is NaN or infinite."""
+    for name in fields:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def spin_length(n: int) -> float:
     """Spin length S0 = n/2 for integer n >= 1 (hbar = 1)."""
     if n < 1:
@@ -39,7 +46,7 @@ def spin_length(n: int) -> float:
     return n / 2.0
 
 
-def lorentzian_q(a_lor: float, omega_0: float, gamma_w: float) -> float:
+def lorentzian_q(a_lor: float, omega_0: float) -> float:
     """Reorganization energy Q = A/(2*omega_0^2) of a Lorentzian bath."""
     if a_lor < 0:
         raise ValueError("a_lor must be nonnegative")
@@ -72,6 +79,7 @@ class LorentzianBath:
     gamma_w: float
 
     def __post_init__(self):
+        _check_finite(self, "a_lor", "omega_0", "gamma_w")
         if self.a_lor < 0:
             raise ValueError("a_lor must be nonnegative")
         if self.omega_0 <= 0 or self.gamma_w <= 0:
@@ -79,7 +87,7 @@ class LorentzianBath:
 
     @property
     def q(self) -> float:
-        return lorentzian_q(self.a_lor, self.omega_0, self.gamma_w)
+        return lorentzian_q(self.a_lor, self.omega_0)
 
     def j(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -105,6 +113,7 @@ class BareQBath:
     q: float
 
     def __post_init__(self):
+        _check_finite(self, "q")
         if self.q < 0:
             raise ValueError("q must be nonnegative")
 
@@ -134,22 +143,20 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
+        _check_finite(self, "n", "omega_l")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("n must be a positive integer")
         if self.omega_l <= 0:
             raise ValueError("omega_l must be positive")
         if not 0.0 <= self.theta <= math.pi / 2:
             raise ValueError("theta must lie in [0, pi/2]")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative (inf allowed)")
+        if not self.beta >= 0:
+            raise ValueError("beta must be nonnegative (inf allowed), "
+                             f"got {self.beta!r}")
 
     @property
     def s0(self) -> float:
         return spin_length(self.n)
-
-    @property
-    def dim(self) -> int:
-        return self.n + 1
 
     @property
     def q(self) -> float:
@@ -159,19 +166,15 @@ class ModelParams:
     def zeta(self) -> float:
         return zeta(self.q, self.s0, self.omega_l)
 
-    @property
-    def alpha(self) -> float:
-        """Coupling number under the Q = alpha*omega_l/S0 convention."""
-        return self.zeta
-
     def with_beta(self, beta: float) -> "ModelParams":
         return ModelParams(self.n, self.omega_l, self.theta, self.bath, beta)
 
 
 def beta_from_t_half(t_half: float, omega_l: float = 1.0) -> float:
     """Inverse temperature from t_half = 2*kB*T/omega_l."""
-    if t_half < 0:
-        raise ValueError("t_half must be nonnegative")
+    if not 0 <= t_half < math.inf:
+        raise ValueError(
+            f"t_half must be finite and nonnegative, got {t_half!r}")
     if t_half == 0.0:
         return math.inf
     return 2.0 / (t_half * omega_l)
@@ -185,8 +188,9 @@ def t_half_from_beta(beta: float, omega_l: float = 1.0) -> float:
 
 def beta_from_t_spin(t_spin: float, n: int, omega_l: float = 1.0) -> float:
     """Inverse temperature from t_spin = kB*T/(S0*omega_l)."""
-    if t_spin < 0:
-        raise ValueError("t_spin must be nonnegative")
+    if not 0 <= t_spin < math.inf:
+        raise ValueError(
+            f"t_spin must be finite and nonnegative, got {t_spin!r}")
     if t_spin == 0.0:
         return math.inf
     return 1.0 / (t_spin * spin_length(n) * omega_l)
@@ -196,22 +200,3 @@ def t_spin_from_beta(beta: float, n: int, omega_l: float = 1.0) -> float:
     if beta == 0.0:
         return math.inf
     return 1.0 / (beta * spin_length(n) * omega_l)
-
-
-@dataclass(frozen=True)
-class TemperatureScale:
-    """The two rescaled temperature axes used by the sweeps.
-
-    t_half = 2*kB*T/omega_l and t_spin = kB*T/(S0*omega_l); the two satisfy
-    t_half = n * t_spin.
-    """
-
-    t_half: float
-    t_spin: float
-
-    @classmethod
-    def from_beta(cls, beta: float, n: int, omega_l: float = 1.0) -> "TemperatureScale":
-        return cls(
-            t_half=t_half_from_beta(beta, omega_l),
-            t_spin=t_spin_from_beta(beta, n, omega_l),
-        )

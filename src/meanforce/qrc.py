@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -89,12 +89,12 @@ def rc_hamiltonian(params: ModelParams, rc: RcParams) -> np.ndarray:
     if dim > _DIM_LIMIT:
         raise ValueError(f"composite dimension {dim} exceeds {_DIM_LIMIT}")
     m, _ = sz_ladder(params.n)
-    num = np.diag(np.arange(n_osc, dtype=float))
     a = np.diag(np.sqrt(np.arange(1, n_osc, dtype=float)), k=1)
-    x_op = a + a.T
-    h = (np.kron(np.diag(-params.omega_l * m), np.eye(n_osc))
-         + np.kron(np.eye(params.n + 1), rc.omega_rc * num)
-         + rc.lambda_rc * np.kron(s_theta(params.n, params.theta), x_op))
+    h = rc.lambda_rc * np.kron(s_theta(params.n, params.theta), a + a.T)
+    # a + a^dag has a zero diagonal, so the coupling term's is zero too and
+    # the free part -omega_l m_j + Omega k fills it
+    np.fill_diagonal(h, np.add.outer(-params.omega_l * m,
+                                     rc.omega_rc * np.arange(n_osc)))
     return h
 
 
@@ -123,20 +123,19 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
     range).  The last 256 results are memoised; the regime scans revisit
     the same couplings once per approximation.
     """
-    if not isinstance(params.bath, LorentzianBath):
-        raise TypeError("reaction-coordinate mapping requires a Lorentzian bath")
+    rc = rc_params(params.bath)
     d_spin = params.n + 1
     beta = params.beta
     prev = None
     n_levels = 16
-    if beta > 0 and beta * params.bath.omega_0 < 50.0:
+    if beta > 0 and beta * rc.omega_rc < 50.0:
         # two under-truncated solves can agree within tol while both miss
         # most of the thermal weight; keep the cutoff above the occupation
-        n_bar = 1.0 / math.expm1(beta * params.bath.omega_0)
+        n_bar = 1.0 / math.expm1(beta * rc.omega_rc)
         while n_levels < 4.0 * n_bar + 10.0 and n_levels < n_max:
             n_levels *= 2
     while n_levels <= n_max:
-        rc = rc_params(params.bath, n_levels=n_levels)
+        rc = replace(rc, n_levels=n_levels)
         evals, vecs = np.linalg.eigh(rc_hamiltonian(params, rc))
         w = gibbs_weights(evals, beta)
         # in place, and reshaped as a view: no dim x dim temporaries

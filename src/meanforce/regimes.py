@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import LorentzianBath, ModelParams, beta_from_t_half, t_half_from_beta
+from .model import (LorentzianBath, ModelParams, alpha_scaling,
+                    beta_from_t_half, spin_length, t_half_from_beta)
 from .results import SpinExpectation, SweepTable
 from .solvers import SOLVERS
 
@@ -41,6 +42,8 @@ DEFAULT_OMEGA_0 = 7.0
 DEFAULT_GAMMA_W = 0.2
 _SCAN_LO, _SCAN_HI = 1e-3, 1e4
 _POINTS_PER_DECADE = 12
+# bisection stops when the bracket's ends are within this ratio
+_REL_PRECISION = 0.02
 
 # (exact, UW, WK, US) solver names per flavor, and each approximation's
 # position in those tuples
@@ -79,20 +82,24 @@ def approx_error(exact: SpinExpectation, approx: SpinExpectation,
     return max(ez, ex)
 
 
-def _flavor_methods(flavor: str) -> tuple:
+def _approx_errors(params: ModelParams, flavor: str, approxes,
+                   floor: float):
+    """The flavor's exact state at params and each named approximation's
+    approx_error against it."""
     try:
-        return FLAVORS[flavor]
+        methods = FLAVORS[flavor]
     except KeyError:
         raise ValueError("flavor must be quantum or classical") from None
+    exact = SOLVERS[methods[0]](params)
+    return exact, [approx_error(exact, SOLVERS[methods[_APPROX[a]]](params),
+                                floor) for a in approxes]
 
 
 def classify_point(params: ModelParams, flavor: str = "quantum",
                    tol: float = DEFAULT_TOL,
                    floor: float = CLASSIFY_FLOOR) -> RegimePoint:
-    exact_m, *approx_m = _flavor_methods(flavor)
-    exact = SOLVERS[exact_m](params)
-    err_uw, err_wk, err_us = (approx_error(exact, SOLVERS[m](params), floor)
-                              for m in approx_m)
+    exact, (err_uw, err_wk, err_us) = _approx_errors(params, flavor, _APPROX,
+                                                     floor)
     if err_uw < tol:
         label = "UW"
     elif err_wk < tol:
@@ -110,21 +117,10 @@ def classify_point(params: ModelParams, flavor: str = "quantum",
 
 def _params_at(zeta_val: float, t_half: float, theta: float, n: int,
                omega_l: float, omega_0: float, gamma_w: float) -> ModelParams:
-    s0 = n / 2.0
-    q = zeta_val * omega_l / s0
+    q = alpha_scaling(zeta_val, spin_length(n), omega_l)
     bath = LorentzianBath.from_q(q, omega_0, gamma_w)
     beta = beta_from_t_half(t_half, omega_l)
     return ModelParams(n=n, omega_l=omega_l, theta=theta, bath=bath, beta=beta)
-
-
-def _boundary_error(zeta_val, t_half, theta, n, flavor, approx,
-                    omega_l, omega_0, gamma_w, floor):
-    if approx not in _APPROX:
-        raise ValueError("approx must be UW, WK or US")
-    methods = _flavor_methods(flavor)
-    p = _params_at(zeta_val, t_half, theta, n, omega_l, omega_0, gamma_w)
-    exact = SOLVERS[methods[0]](p)
-    return approx_error(exact, SOLVERS[methods[_APPROX[approx]]](p), floor)
 
 
 def find_boundary(t_half: float, theta: float, approx: str,
@@ -133,7 +129,6 @@ def find_boundary(t_half: float, theta: float, approx: str,
                   omega_0: float = DEFAULT_OMEGA_0,
                   gamma_w: float = DEFAULT_GAMMA_W,
                   floor: float = CLASSIFY_FLOOR,
-                  rel_precision: float = 0.02,
                   scan_lo: float = _SCAN_LO,
                   scan_hi: float = _SCAN_HI) -> float:
     """Coupling strength zeta* where the given approximation's error first
@@ -146,30 +141,29 @@ def find_boundary(t_half: float, theta: float, approx: str,
     A tighter scan window cuts the cost a lot at high temperature, where
     each exact solve needs a large oscillator cutoff.
     """
+    if approx not in _APPROX:
+        raise ValueError("approx must be UW, WK or US")
 
     def err(z):
-        return _boundary_error(z, t_half, theta, n, flavor, approx,
-                               omega_l, omega_0, gamma_w, floor) - tol
+        p = _params_at(z, t_half, theta, n, omega_l, omega_0, gamma_w)
+        return _approx_errors(p, flavor, (approx,), floor)[1][0] - tol
 
     n_pts = int(round(_POINTS_PER_DECADE
                       * math.log10(scan_hi / scan_lo))) + 1
     grid = np.geomspace(scan_lo, scan_hi, n_pts)
-    prev_z, prev_e = grid[0], err(grid[0])
-    bracket = None
-    for z in grid[1:]:
-        e = err(z)
-        if prev_e == 0.0 or prev_e * e < 0:
-            bracket = (prev_z, z)
+    # the bracket's lower end keeps its error from the scan for bisection
+    lo, e_lo = grid[0], err(grid[0])
+    for hi in grid[1:]:
+        e_hi = err(hi)
+        if e_lo == 0.0 or e_lo * e_hi < 0:
             break
-        prev_z, prev_e = z, e
-    if bracket is None:
+        lo, e_lo = hi, e_hi
+    else:
         raise BoundaryNotFound(
             f"no {approx} boundary crossing in scan range "
             f"[{scan_lo}, {scan_hi}]"
         )
-    lo, hi = bracket
-    e_lo = err(lo)
-    while hi / lo > 1.0 + rel_precision:
+    while hi / lo > 1.0 + _REL_PRECISION:
         mid = math.sqrt(lo * hi)
         e_mid = err(mid)
         if e_lo * e_mid <= 0:

@@ -52,6 +52,32 @@ def test_gibbs_series_matches_closed_form():
         assert cl_gibbs_stats(x).sz == pytest.approx(coth - 1.0 / x, abs=1e-12)
 
 
+def test_closed_forms_match_mpmath():
+    # L = coth x - 1/x and ln(sinh x / x) (cgibbs), and the second-order
+    # terms b1 = csch^2 x + coth x/x - 2/x^2 and b2 = 1 - 3 coth x/x + 3/x^2
+    # (cmf-wk), to 1e-13 relative at x = beta S0 omega_l over [1e-8, 1e4],
+    # across the series/closed-form switch.  At theta = pi/4, sx = -zeta b2;
+    # zeta = 2L/b1 makes the b1 term of sz as large as L.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for x in np.geomspace(1e-8, 1e4, 601):
+            big_x = mp.mpf(float(x))
+            coth = mp.coth(big_x)
+            lang = coth - 1 / big_x
+            b1 = mp.csch(big_x) ** 2 + coth / big_x - 2 / big_x**2
+            b2 = 1 - 3 * coth / big_x + 3 / big_x**2
+            gibbs = cl_gibbs_stats(float(x))
+            p = make_params(zeta_val=float(2 * lang / b1), beta=2.0 * x)
+            wk = cmf_wk_expectations(p)
+            th, zt = mp.mpf(p.theta), mp.mpf(p.zeta)
+            pairs = ((gibbs.sz, lang),
+                     (gibbs.log_z, mp.log(mp.sinh(big_x) / big_x)),
+                     (wk.sz, lang + zt / 2 * (1 + 3 * mp.cos(2 * th)) * b1),
+                     (wk.sx, -zt * mp.sin(2 * th) * b2))
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-13 * abs(want), (x, got, want)
+
+
 def test_gibbs_moments_vs_quadrature():
     from scipy.integrate import quad
 

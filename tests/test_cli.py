@@ -41,6 +41,9 @@ def test_parse_grid():
         parse_grid("log:-1:10:3")
     with pytest.raises(ConfigError):
         parse_grid("1:10:0")
+    for spec in ("nan", "0:inf:3", "log:0.1:nan:2"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_grid(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +170,37 @@ def test_unknown_method_is_config_error(tmp_path):
 def test_dynamics_rejects_theta_zero(tmp_path):
     assert run(["dynamics", "--theta", "0", "--zeta", "1", "--no-cache",
                 "--output", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-temperature", "--zeta", "1", "--t-half", "nan",
+     "--methods", "cgibbs,qgibbs,cmf-us,qmf-us"],
+    ["sweep-coupling", "--zeta-grid", "nan"],
+    ["sweep-temperature", "--q", "inf", "--t-half", "1"],
+    ["regimes", "--t-half", "nan"],
+    ["correspondence", "--t-spin", "nan"],
+    ["density-map", "--t-spin", "nan"],
+])
+def test_non_finite_values_are_config_errors(tmp_path, capsys, argv):
+    # rejected with a message, before any solve or cache key
+    assert run([*argv, "--no-cache", "--output", str(tmp_path / "x.csv")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_cdyn_cell_equals_dynamics_row(tmp_path):
+    # both commands build their simulation settings from the same defaults
+    # (a narrow, slow bath keeps the default 220 time units cheap)
+    common = ["--zeta", "1", "--omega-0", "1", "--gamma-w", "1",
+              "--seed", "4", "--no-cache"]
+    assert run(["sweep-temperature", "--methods", "cdyn", "--t-half", "1",
+                *common, "--output", str(tmp_path / "s.csv")]) == 0
+    assert run(["dynamics", "--t-half", "1", *common,
+                "--output", str(tmp_path / "d.csv")]) == 0
+    sweep_row = (tmp_path / "s.csv").read_text().strip().split("\n")[-1]
+    dyn_row = (tmp_path / "d.csv").read_text().strip().split("\n")[-1]
+    assert sweep_row.split(",")[2:] == dyn_row.split(",")[1:]
+    assert sweep_row.split(",")[1] == "cdyn"
 
 
 def test_density_map_runs(tmp_path):

@@ -95,6 +95,16 @@ def test_mll_bare_ratio_tends_to_one():
         mll_bare_ratio(0.0, 1)
 
 
+def test_mll_bare_ratio_in_log_space():
+    # at n = 1 the ratio is cosh x / (sinh x / x) = x coth x, x = beta';
+    # both partition functions overflow a float past x = 710
+    for bp in (700.0, 720.0, 2000.0):
+        assert mll_bare_ratio(bp, 1) == pytest.approx(bp / math.tanh(bp),
+                                                      rel=1e-12)
+        for n in (4, 100):
+            assert math.isfinite(mll_bare_ratio(bp, n))
+
+
 def test_correspondence_sweep_structure():
     bp = [0.5, 2.0]
     table = correspondence_sweep(0.06, math.pi / 4, bp, n_list=(1, 2))

@@ -9,7 +9,6 @@ from meanforce.model import (
     BareQBath,
     LorentzianBath,
     ModelParams,
-    TemperatureScale,
     alpha_scaling,
     beta_from_t_half,
     beta_from_t_spin,
@@ -32,12 +31,12 @@ def test_spin_length():
 
 def test_lorentzian_q_closed_form():
     # Q = A / (2 omega_0^2)
-    assert lorentzian_q(98.0, 7.0, 5.0) == pytest.approx(1.0, abs=0)
-    assert lorentzian_q(0.0, 3.0, 1.0) == 0.0
+    assert lorentzian_q(98.0, 7.0) == pytest.approx(1.0, abs=0)
+    assert lorentzian_q(0.0, 3.0) == 0.0
     with pytest.raises(ValueError):
-        lorentzian_q(-1.0, 7.0, 5.0)
+        lorentzian_q(-1.0, 7.0)
     with pytest.raises(ValueError):
-        lorentzian_q(1.0, 0.0, 5.0)
+        lorentzian_q(1.0, 0.0)
 
 
 def test_q_integral_matches_reorganization_energy():
@@ -101,10 +100,8 @@ def test_model_params_derived_quantities():
     bath = LorentzianBath.from_q(2.0, 7.0, 5.0)
     p = ModelParams(n=3, omega_l=2.0, theta=0.3, bath=bath, beta=1.0)
     assert p.s0 == 1.5
-    assert p.dim == 4
     assert p.q == pytest.approx(2.0)
     assert p.zeta == pytest.approx(2.0 * 1.5 / 2.0)
-    assert p.alpha == p.zeta
     p2 = p.with_beta(0.25)
     assert p2.beta == 0.25 and p2.n == 3
 
@@ -125,5 +122,35 @@ def test_temperature_conversions():
 
 def test_temperature_scale_relation():
     # t_half = n * t_spin at any beta
-    ts = TemperatureScale.from_beta(0.7, n=5, omega_l=1.3)
-    assert ts.t_half == pytest.approx(5.0 * ts.t_spin, rel=1e-14)
+    t_half = t_half_from_beta(0.7, omega_l=1.3)
+    t_spin = t_spin_from_beta(0.7, n=5, omega_l=1.3)
+    assert t_half == pytest.approx(5.0 * t_spin, rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    # each record names the offending field; beta = inf (T = 0) stays legal
+    bath = LorentzianBath.from_q(1.0, 7.0, 5.0)
+    for kwargs, field in (({"omega_l": bad}, "omega_l"),
+                          ({"beta": bad}, "beta")):
+        if field == "beta" and bad == math.inf:
+            continue
+        args = dict(n=1, omega_l=1.0, theta=0.3, bath=bath, beta=1.0)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=field):
+            ModelParams(**args)
+    with pytest.raises(ValueError, match="theta"):
+        ModelParams(n=1, omega_l=1.0, theta=bad, bath=bath, beta=1.0)
+    for field in ("a_lor", "omega_0", "gamma_w"):
+        args = dict(a_lor=1.0, omega_0=7.0, gamma_w=5.0)
+        args[field] = bad
+        with pytest.raises(ValueError, match=field):
+            LorentzianBath(**args)
+    with pytest.raises(ValueError, match="a_lor"):
+        LorentzianBath.from_q(bad, 7.0, 5.0)
+    with pytest.raises(ValueError, match="q"):
+        BareQBath(q=bad)
+    with pytest.raises(ValueError, match="t_half"):
+        beta_from_t_half(bad)
+    with pytest.raises(ValueError, match="t_spin"):
+        beta_from_t_spin(bad, n=2)
