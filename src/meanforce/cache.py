@@ -74,11 +74,6 @@ class ResultCache:
             fh.write(json.dumps({"key": key, "value": value},
                                 sort_keys=True) + "\n")
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 def default_cache_dir(explicit: Optional[str] = None) -> Optional[str]:
     """Resolve the cache directory: explicit flag, then environment."""

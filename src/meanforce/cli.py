@@ -121,7 +121,9 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
+def _add_model_args(p: argparse.ArgumentParser, coupling: bool = True) -> None:
+    """The model flags; coupling=False leaves out --zeta/--alpha/--q, for a
+    command that takes the coupling from a grid."""
     p.add_argument("--theta", default="pi/4", help="spin-bath angle (rad or pi/k)")
     p.add_argument("--n", type=int, default=1, help="spin size n (S0 = n/2)")
     p.add_argument("--omega-l", type=finite_float, default=1.0)
@@ -129,6 +131,8 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
                    help="Lorentzian peak frequency")
     p.add_argument("--gamma-w", type=finite_float, default=5.0,
                    help="Lorentzian width")
+    if not coupling:
+        return
     g = p.add_mutually_exclusive_group()
     g.add_argument("--zeta", type=finite_float,
                    help="coupling zeta = Q S0 / omega_l")
@@ -159,17 +163,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="cmf", help="comma list of " + ",".join(METHODS))
     p.add_argument("--t-half", default="0.05:4:40", help="kBT grid in units of omega_l/2")
 
-    p = sub.add_parser("sweep-coupling",
+    # sweep-coupling and regimes take the coupling from a grid or a scan, so
+    # they have no --zeta; and no abbreviations, or --zeta would be read as
+    # --zeta-grid
+    p = sub.add_parser("sweep-coupling", allow_abbrev=False,
                        help="methods on a zeta grid at fixed temperature")
     _add_common_args(p)
-    _add_model_args(p)
+    _add_model_args(p, coupling=False)
     p.add_argument("--methods", default="cmf")
     p.add_argument("--zeta-grid", default="log:0.01:100:25")
     p.add_argument("--t-half", type=finite_float, default=1.0)
 
-    p = sub.add_parser("regimes", help="regime boundaries or a full atlas")
+    p = sub.add_parser("regimes", allow_abbrev=False,
+                       help="regime boundaries or a full atlas")
     _add_common_args(p)
-    _add_model_args(p)
+    _add_model_args(p, coupling=False)
     p.add_argument("--flavor", choices=("quantum", "classical"), default="quantum")
     p.add_argument("--t-half", default="0", help="grid or single value; 0 means T = 0")
     p.add_argument("--zeta-grid", help="if set, emit a label atlas instead of boundaries")

@@ -23,7 +23,6 @@ __all__ = [
     "lorentzian_q",
     "zeta",
     "alpha_scaling",
-    "j_eval",
     "beta_from_t_half",
     "t_half_from_beta",
     "beta_from_t_spin",
@@ -37,6 +36,14 @@ def _check_finite(record, *fields) -> None:
         value = getattr(record, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_omega_l(omega_l: float) -> None:
+    """Raise ValueError unless omega_l, a divisor or factor of every unit
+    conversion below, is finite and positive."""
+    if not 0 < omega_l < math.inf:
+        raise ValueError(
+            f"omega_l must be finite and positive, got {omega_l!r}")
 
 
 def spin_length(n: int) -> float:
@@ -57,13 +64,13 @@ def lorentzian_q(a_lor: float, omega_0: float) -> float:
 
 def zeta(q: float, s0: float, omega_l: float) -> float:
     """Dimensionless relative coupling zeta = Q*S0/omega_l."""
-    if omega_l <= 0:
-        raise ValueError("omega_l must be positive")
+    _check_omega_l(omega_l)
     return q * s0 / omega_l
 
 
 def alpha_scaling(alpha: float, s0: float, omega_l: float = 1.0) -> float:
     """Reorganization energy Q = alpha*omega_l/S0 (spin-length scaling)."""
+    _check_omega_l(omega_l)
     return alpha * omega_l / s0
 
 
@@ -121,13 +128,6 @@ class BareQBath:
 BathSpec = Union[LorentzianBath, BareQBath]
 
 
-def j_eval(bath: BathSpec, omega: float):
-    """Spectral density J(omega); raises for shape-less baths."""
-    if isinstance(bath, BareQBath):
-        raise ValueError("spectral shape unavailable for a bare-Q bath")
-    return bath.j(omega)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Full parameter record consumed by every solver.
@@ -166,12 +166,10 @@ class ModelParams:
     def zeta(self) -> float:
         return zeta(self.q, self.s0, self.omega_l)
 
-    def with_beta(self, beta: float) -> "ModelParams":
-        return ModelParams(self.n, self.omega_l, self.theta, self.bath, beta)
-
 
 def beta_from_t_half(t_half: float, omega_l: float = 1.0) -> float:
     """Inverse temperature from t_half = 2*kB*T/omega_l."""
+    _check_omega_l(omega_l)
     if not 0 <= t_half < math.inf:
         raise ValueError(
             f"t_half must be finite and nonnegative, got {t_half!r}")
@@ -188,6 +186,7 @@ def t_half_from_beta(beta: float, omega_l: float = 1.0) -> float:
 
 def beta_from_t_spin(t_spin: float, n: int, omega_l: float = 1.0) -> float:
     """Inverse temperature from t_spin = kB*T/(S0*omega_l)."""
+    _check_omega_l(omega_l)
     if not 0 <= t_spin < math.inf:
         raise ValueError(
             f"t_spin must be finite and nonnegative, got {t_spin!r}")

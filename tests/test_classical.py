@@ -1,6 +1,7 @@
 """Classical equilibrium states: Gibbs closed forms, CMF quadrature,
 weak and ultrastrong limits, and the Monte-Carlo oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -237,7 +238,7 @@ def test_cmf_logweight():
     h = -1.0 * 0.5 - 2.0 * 0.25 * math.cos(math.pi / 4) ** 2
     assert lw == pytest.approx(-2.0 * h, rel=1e-12)
     # at T = 0 the raw -H_eff comes back instead
-    lw0 = cmf_logweight(SphericalPoint(0.0, 0.0), p.with_beta(math.inf))
+    lw0 = cmf_logweight(SphericalPoint(0.0, 0.0), dataclasses.replace(p, beta=math.inf))
     assert lw0 == pytest.approx(-h, rel=1e-12)
 
 
@@ -312,4 +313,4 @@ def test_sampler_rejects_bad_input():
     with pytest.raises(ValueError):
         cmf_sample(p, seed=1, count=0)
     with pytest.raises(ValueError):
-        cmf_sample(p.with_beta(math.inf), seed=1, count=100)
+        cmf_sample(dataclasses.replace(p, beta=math.inf), seed=1, count=100)

@@ -65,7 +65,7 @@ def test_cache_roundtrip(tmp_path):
     # a fresh instance reloads from disk
     again = ResultCache(str(tmp_path))
     assert again.get("k") == [1.0, 2.0]
-    assert again.hit_rate == 1.0
+    assert (again.hits, again.misses) == (1, 0)
 
 
 def test_cache_disabled_mode():
@@ -185,6 +185,35 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys, argv):
     # rejected with a message, before any solve or cache key
     assert run([*argv, "--no-cache", "--output", str(tmp_path / "x.csv")]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("omega_l", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["sweep-temperature", "--methods", "cgibbs", "--zeta", "1",
+     "--t-half", "1"],
+    ["regimes", "--flavor", "classical", "--zeta-grid", "1", "--t-half", "1"],
+    ["correspondence", "--t-spin", "1", "--n-list", "1"],
+])
+def test_nonpositive_omega_l_is_config_error(tmp_path, capsys, argv, omega_l):
+    assert run([*argv, "--omega-l", omega_l, "--no-cache",
+                "--output", str(tmp_path / "x.csv")]) == 2
+    assert "omega_l must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--zeta", "--alpha", "--q"])
+@pytest.mark.parametrize("argv", [
+    ["sweep-coupling", "--methods", "cgibbs", "--zeta-grid", "0.5:1:2"],
+    ["regimes", "--flavor", "classical", "--zeta-grid", "0.5:1:2",
+     "--t-half", "1"],
+])
+def test_grid_commands_take_no_fixed_coupling(tmp_path, capsys, argv, flag):
+    # their cells take Q from each --zeta-grid value (or a scan), so a fixed
+    # coupling would only be echoed into the header
+    assert run([*argv, flag, "5", "--no-cache",
+                "--output", str(tmp_path / "x.csv")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

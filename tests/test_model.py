@@ -1,5 +1,6 @@
 """Parameter records, unit conversions, and bath descriptions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from meanforce.model import (
     alpha_scaling,
     beta_from_t_half,
     beta_from_t_spin,
-    j_eval,
     lorentzian_q,
     spin_length,
     t_half_from_beta,
@@ -75,8 +75,8 @@ def test_lorentzian_j_values():
 def test_bare_q_bath_rejects_shape_queries():
     bath = BareQBath(q=1.0)
     assert bath.q == 1.0
-    with pytest.raises(ValueError):
-        j_eval(bath, 1.0)
+    # no spectral shape to evaluate
+    assert not hasattr(bath, "j")
     with pytest.raises(ValueError):
         BareQBath(q=-0.5)
 
@@ -102,7 +102,7 @@ def test_model_params_derived_quantities():
     assert p.s0 == 1.5
     assert p.q == pytest.approx(2.0)
     assert p.zeta == pytest.approx(2.0 * 1.5 / 2.0)
-    p2 = p.with_beta(0.25)
+    p2 = dataclasses.replace(p, beta=0.25)
     assert p2.beta == 0.25 and p2.n == 3
 
 
@@ -118,6 +118,15 @@ def test_temperature_conversions():
     assert t_spin_from_beta(2.0, n=1) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         beta_from_t_half(-1.0)
+    # omega_l is checked before the division, at T = 0 too
+    for omega_l in (0.0, -1.0, math.inf):
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match="omega_l"):
+                beta_from_t_half(t, omega_l)
+            with pytest.raises(ValueError, match="omega_l"):
+                beta_from_t_spin(t, 2, omega_l)
+        with pytest.raises(ValueError, match="omega_l"):
+            alpha_scaling(1.0, 0.5, omega_l)
 
 
 def test_temperature_scale_relation():

@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from dense_spin import spin_operators
+from meanforce import qrc
 from meanforce.limits import us_expectations
 from meanforce.model import BareQBath, LorentzianBath, ModelParams, beta_from_t_half
 from meanforce.qrc import (
@@ -128,7 +130,7 @@ def test_rc_state_invariants_and_zmf():
     assert np.linalg.eigvalsh(rho).min() > -1e-12
     assert res.z_mf is not None and res.z_mf > 0.0
     # the mean-force partition function is not reported at T = 0
-    assert rc_mf_state(p.with_beta(math.inf)).z_mf is None
+    assert rc_mf_state(replace(p, beta=math.inf)).z_mf is None
 
 
 def test_rc_memo_is_bounded_and_returns_the_same_result():
@@ -207,3 +209,73 @@ def test_rc_not_converged_raises():
     p = make_params(zeta_val=100.0, beta=math.inf)
     with pytest.raises(RcNotConverged):
         rc_mf_state(p, tol=1e-10, n_max=32)
+
+
+# ---------------------------------------------------------------------------
+# the eigendecompositions kept for the last Hamiltonian
+
+
+def _solve_cold(p):
+    """rc_mf_state at p with neither memo holding anything."""
+    rc_mf_state.cache_clear()
+    qrc._eigh_chain.clear()
+    qrc._eigh_key = None
+    return rc_mf_state(p)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_rc_memo_hit_is_bitwise_equal_to_a_cold_solve(n):
+    betas = (0.0, 0.5, 2.0, 10.0, math.inf)
+    cold = [_solve_cold(make_params(zeta_val=2.0, beta=b, n=n)) for b in betas]
+    # every beta of the sweep now reads the one Hamiltonian's chain
+    rc_mf_state.cache_clear()
+    warm = [rc_mf_state(make_params(zeta_val=2.0, beta=b, n=n))
+            for b in betas]
+    for c, w in zip(cold, warm):
+        assert c is not w
+        assert w.rho.tobytes() == c.rho.tobytes()
+        assert w.n_used == c.n_used
+        assert w.z_mf == c.z_mf
+
+
+def test_rc_temperature_sweep_diagonalises_each_cutoff_once(monkeypatch):
+    built = []
+    original = qrc.rc_hamiltonian
+
+    def counting(params, rc):
+        built.append(rc.n_levels)
+        return original(params, rc)
+
+    monkeypatch.setattr(qrc, "rc_hamiltonian", counting)
+    _solve_cold(make_params(zeta_val=0.7, beta=math.inf))
+    for t_half in np.linspace(0.0, 4.0, 41):
+        beta = beta_from_t_half(float(t_half)) if t_half > 0 else math.inf
+        rc_mf_state(make_params(zeta_val=0.7, beta=beta))
+    assert len(built) > 1
+    assert len(built) == len(set(built))
+
+
+def test_rc_memo_arrays_are_read_only():
+    _solve_cold(make_params(zeta_val=1.0, beta=1.0))
+    assert qrc._eigh_chain
+    for evals, vecs in qrc._eigh_chain.values():
+        for a in (evals, vecs):
+            with pytest.raises(ValueError):
+                a[0] += 1.0
+
+
+@pytest.mark.parametrize("change", [
+    {"zeta_val": 5.0}, {"theta": 0.3}, {"omega_0": 6.0},
+    # at the first solve's Q
+    {"omega_l": 2.0, "zeta_val": 0.5}, {"n": 2, "zeta_val": 2.0},
+])
+def test_rc_memo_holds_only_the_last_hamiltonians_chain(change):
+    # a solve after one whose Hamiltonian differs in one parameter
+    _solve_cold(make_params(zeta_val=1.0, beta=1.0))
+    p = make_params(**{"zeta_val": 1.0, "beta": 1.0, **change})
+    res = rc_mf_state(p)
+    rc = rc_params(p.bath)
+    assert max(qrc._eigh_chain) == res.n_used
+    for n_levels, (evals, vecs) in qrc._eigh_chain.items():
+        h = rc_hamiltonian(p, replace(rc, n_levels=n_levels))
+        assert np.array_equal(vecs, np.linalg.eigh(h)[1])
