@@ -1,7 +1,8 @@
 """Command-line interface: sweeps, regime boundaries, density maps, dynamics.
 
-One binary with subcommands.  Options can come from a flat key = value
-config file (--config); explicit flags override file values.  Angles accept
+One binary with subcommands; each accepts only the flags it reads.  A flat
+key = value config file (--config) is read as flags placed right after the
+subcommand name, so flags on the command line override it.  Angles accept
 plain radians or tokens like pi/4.  Grids are min:max:count, optionally
 prefixed log: for geometric spacing.  Sweeps, regime boundaries and dynamics
 cache each grid cell in a JSONL store keyed by a hash of (command, parameters,
@@ -26,17 +27,12 @@ import numpy as np
 
 from . import __version__
 from .cache import ResultCache, canonical_key, default_cache_dir
-from .classical import QuadratureNotConverged, cmf_expectations, cmf_logweight
+from .classical import (QuadratureNotConverged, SphericalPoint,
+                        cmf_expectations, cmf_logweight)
 from .dynamics import SimConfig, simulate_steady
 from .limits import correspondence_sweep
-from .model import (
-    LorentzianBath,
-    ModelParams,
-    alpha_scaling,
-    beta_from_t_half,
-    beta_from_t_spin,
-    spin_length,
-)
+from .model import (BareQBath, LorentzianBath, ModelParams, alpha_scaling,
+                    beta_from_t_half, beta_from_t_spin, spin_length)
 from .qrc import RcNotConverged
 from .regimes import (CLASSIFY_FLOOR, DEFAULT_TOL, BoundaryNotFound,
                        find_boundary, regime_atlas)
@@ -102,9 +98,11 @@ def parse_grid(spec: str) -> list:
     return list(np.linspace(lo, hi, count))
 
 
-def read_config_file(path: str) -> dict:
-    """Flat key = value text; '#' starts a comment; keys use flag names."""
-    values = {}
+def read_config_file(path: str) -> list:
+    """Flat key = value text as flags: '#' starts a comment, keys are flag
+    names (t-half or t_half).  Each line becomes --key=value; a value of
+    true gives the bare switch --key and false gives nothing."""
+    flags = []
     try:
         with open(path) as fh:
             for ln, raw in enumerate(fh, 1):
@@ -114,41 +112,51 @@ def read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(
                         f"{path}:{ln}: expected key = value, got {raw!r}")
-                key, val = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = val.strip()
+                key, val = (s.strip() for s in line.split("=", 1))
+                flag = "--" + key.replace("_", "-")
+                if val.lower() == "true":
+                    flags.append(flag)
+                elif val.lower() != "false":
+                    flags.append(f"{flag}={val}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    return values
+    return flags
 
 
-def _add_model_args(p: argparse.ArgumentParser, coupling: bool = True) -> None:
-    """The model flags; coupling=False leaves out --zeta/--alpha/--q, for a
-    command that takes the coupling from a grid."""
+# flag groups; each subcommand takes the groups its command reads
+
+
+def _add_cache_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cache-dir", help="cache directory (or MEANFORCE_CACHE_DIR)")
+    p.add_argument("--no-cache", action="store_true")
+
+
+def _add_cell_args(p: argparse.ArgumentParser) -> None:
+    """Settings that only the cell cache key and the Langevin runs read."""
+    p.add_argument("--seed", type=int, default=0, help="Langevin noise seed")
+    p.add_argument("--tol", type=finite_float,
+                   help="tolerance recorded in the cache key")
+
+
+def _add_spin_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", default="pi/4", help="spin-bath angle (rad or pi/k)")
     p.add_argument("--n", type=int, default=1, help="spin size n (S0 = n/2)")
     p.add_argument("--omega-l", type=finite_float, default=1.0)
+
+
+def _add_bath_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega-0", type=finite_float, default=7.0,
                    help="Lorentzian peak frequency")
     p.add_argument("--gamma-w", type=finite_float, default=5.0,
                    help="Lorentzian width")
-    if not coupling:
-        return
+
+
+def _add_coupling_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--zeta", type=finite_float,
-                   help="coupling zeta = Q S0 / omega_l")
-    g.add_argument("--alpha", type=finite_float,
-                   help="coupling alpha (Q = alpha omega_l / S0)")
+    g.add_argument("--zeta", "--alpha", dest="zeta", type=finite_float,
+                   help="coupling zeta = Q S0 / omega_l (alpha is zeta)")
     g.add_argument("--q", type=finite_float,
                    help="reorganization energy Q directly")
-
-
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file; flags override")
-    p.add_argument("--output", "-o", help="CSV output path (default stdout)")
-    p.add_argument("--cache-dir", help="cache directory (or MEANFORCE_CACHE_DIR)")
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=finite_float, help="solver tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,28 +164,36 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep-temperature",
-                       help="methods on a t_half grid at fixed coupling")
-    _add_common_args(p)
-    _add_model_args(p)
+    def command(name, run, summary, *groups, **kwargs):
+        p = sub.add_parser(name, help=summary, **kwargs)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="key = value config file; flags override")
+        p.add_argument("--output", "-o", help="CSV output path (default stdout)")
+        for add in groups:
+            add(p)
+        return p
+
+    p = command("sweep-temperature", _run_sweep_temperature,
+                "methods on a t_half grid at fixed coupling",
+                _add_cache_args, _add_cell_args, _add_spin_args,
+                _add_bath_args, _add_coupling_args)
     p.add_argument("--methods", default="cmf", help="comma list of " + ",".join(METHODS))
     p.add_argument("--t-half", default="0.05:4:40", help="kBT grid in units of omega_l/2")
 
     # sweep-coupling and regimes take the coupling from a grid or a scan, so
     # they have no --zeta; and no abbreviations, or --zeta would be read as
     # --zeta-grid
-    p = sub.add_parser("sweep-coupling", allow_abbrev=False,
-                       help="methods on a zeta grid at fixed temperature")
-    _add_common_args(p)
-    _add_model_args(p, coupling=False)
+    p = command("sweep-coupling", _run_sweep_coupling,
+                "methods on a zeta grid at fixed temperature",
+                _add_cache_args, _add_cell_args, _add_spin_args,
+                _add_bath_args, allow_abbrev=False)
     p.add_argument("--methods", default="cmf")
     p.add_argument("--zeta-grid", default="log:0.01:100:25")
     p.add_argument("--t-half", type=finite_float, default=1.0)
 
-    p = sub.add_parser("regimes", allow_abbrev=False,
-                       help="regime boundaries or a full atlas")
-    _add_common_args(p)
-    _add_model_args(p, coupling=False)
+    p = command("regimes", _run_regimes, "regime boundaries or a full atlas",
+                _add_cache_args, _add_spin_args, _add_bath_args,
+                allow_abbrev=False)
     p.add_argument("--flavor", choices=("quantum", "classical"), default="quantum")
     p.add_argument("--t-half", default="0", help="grid or single value; 0 means T = 0")
     p.add_argument("--zeta-grid", help="if set, emit a label atlas instead of boundaries")
@@ -185,18 +201,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=finite_float, default=CLASSIFY_FLOOR,
                    help="denominator floor of the error metric")
 
-    p = sub.add_parser("density-map",
-                       help="classical mean-force density on the sphere")
-    _add_common_args(p)
-    _add_model_args(p)
+    # the classical state reads the bath only through Q: no bath shape flags
+    p = command("density-map", _run_density_map,
+                "classical mean-force density on the sphere",
+                _add_spin_args, _add_coupling_args)
     p.add_argument("--t-spin", type=finite_float, default=1.0,
                    help="kBT in units of S0 omega_l")
     p.add_argument("--v-count", type=int, default=61)
     p.add_argument("--phi-count", type=int, default=121)
 
-    p = sub.add_parser("dynamics", help="Langevin steady state vs temperature")
-    _add_common_args(p)
-    _add_model_args(p)
+    p = command("dynamics", _run_dynamics, "Langevin steady state vs temperature",
+                _add_cache_args, _add_cell_args, _add_spin_args,
+                _add_bath_args, _add_coupling_args)
     p.add_argument("--t-half", default="0.05:4:10")
     p.add_argument("--dt", type=finite_float,
                    help="time step (default 0.02/max rate)")
@@ -206,27 +222,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", type=int, default=SimConfig.ensemble)
     p.add_argument("--trajectory", help="optional member-0 trajectory CSV path")
 
-    p = sub.add_parser("correspondence",
-                       help="quantum WK/RC vs classical CMF across spin sizes")
-    _add_common_args(p)
+    # the library's table names the coupling alpha and writes it itself
+    p = command("correspondence", _run_correspondence,
+                "quantum WK/RC vs classical CMF across spin sizes")
     p.add_argument("--theta", default="pi/4")
-    p.add_argument("--alpha", type=finite_float, default=0.06)
+    p.add_argument("--zeta", "--alpha", dest="alpha", metavar="ZETA",
+                   type=finite_float, default=0.06,
+                   help="coupling zeta = Q S0 / omega_l at every n")
     p.add_argument("--t-spin", default="0.05:5:25", help="kBT grid in units of S0 omega_l")
     p.add_argument("--n-list", default="1,2,5,100")
     p.add_argument("--method", choices=("WK", "RC"), default="WK")
     p.add_argument("--omega-l", type=finite_float, default=1.0)
-    p.add_argument("--omega-0", type=finite_float, default=7.0)
-    p.add_argument("--gamma-w", type=finite_float, default=5.0)
+    _add_bath_args(p)
     return ap
 
 
 def _coupling_q(args) -> float:
     if args.q is not None:
         return args.q
-    scaled = args.zeta if args.zeta is not None else args.alpha
-    if scaled is None:
-        raise ConfigError("one of --zeta, --alpha, --q is required")
-    return alpha_scaling(scaled, spin_length(args.n), args.omega_l)
+    if args.zeta is None:
+        raise ConfigError("one of --zeta (--alpha), --q is required")
+    return alpha_scaling(args.zeta, spin_length(args.n), args.omega_l)
 
 
 def _model_params(args, q: float, beta: float) -> ModelParams:
@@ -235,20 +251,21 @@ def _model_params(args, q: float, beta: float) -> ModelParams:
                        bath=bath, beta=beta)
 
 
-def _echo_metadata(args, command: str) -> dict:
-    skip = {"config", "output", "cache_dir", "no_cache"}
-    meta = {"command": command, "version": __version__}
+def _echo_metadata(args) -> dict:
+    # run is the command's function, whose repr holds an address
+    skip = {"command", "run", "config", "output", "cache_dir", "no_cache"}
+    meta = {"command": args.command, "version": __version__}
     for key, val in sorted(vars(args).items()):
-        if key in skip or key == "command" or val is None:
+        if key in skip or val is None:
             continue
         meta[key] = val
     return meta
 
 
-def _add_echo(table: SweepTable, args, command: str) -> SweepTable:
+def _add_echo(table: SweepTable, args) -> SweepTable:
     """The command's metadata after a library table's own; the table's keys
     win (its theta is in radians, the flag's may read pi/4)."""
-    for key, val in _echo_metadata(args, command).items():
+    for key, val in _echo_metadata(args).items():
         table.metadata.setdefault(key, val)
     return table
 
@@ -268,12 +285,12 @@ def _spin_row(e) -> list:
     return [e.sz, e.sx, e.sz_err, e.sx_err]
 
 
-def _cell(args, cache, command: str, method: str, params: ModelParams,
+def _cell(args, cache, method: str, params: ModelParams,
           trajectory_path=None) -> list:
     """One cached (sz, sx, sz_err, sx_err) cell: a solver's, or at method
     cdyn a Langevin run's with the command's simulation settings."""
     payload = {
-        "command": command,
+        "command": args.command,
         "method": method,
         "version": __version__,
         "n": params.n,
@@ -298,32 +315,35 @@ def _cell(args, cache, command: str, method: str, params: ModelParams,
     return _cached(cache, payload, lambda: _spin_row(solve()))
 
 
-def _run_sweep(args, cache, command: str) -> SweepTable:
+def _run_sweep(args, cache, axis: str, grid: list) -> SweepTable:
+    """Every method at each (axis value, ModelParams) of grid."""
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
         if m == "cdyn" and args.theta_rad <= 0:
             raise ConfigError("cdyn requires theta > 0")
-
-    if command == "sweep-temperature":
-        q = _coupling_q(args)
-        grid = [("t_half", t, _model_params(args, q, beta_from_t_half(t, args.omega_l)))
-                for t in parse_grid(args.t_half)]
-    else:
-        beta = beta_from_t_half(args.t_half, args.omega_l)
-        s0 = spin_length(args.n)
-        grid = [("zeta", z, _model_params(
-                    args, alpha_scaling(z, s0, args.omega_l), beta))
-                for z in parse_grid(args.zeta_grid)]
-
-    axis = grid[0][0]
     table = SweepTable(columns=(axis, "method", "sz", "sx", "sz_err", "sx_err"),
-                       metadata=_echo_metadata(args, command))
-    for _, val, params in grid:
+                       metadata=_echo_metadata(args))
+    for val, params in grid:
         for m in methods:
-            table.append(val, m, *_cell(args, cache, command, m, params))
+            table.append(val, m, *_cell(args, cache, m, params))
     return table
+
+
+def _run_sweep_temperature(args, cache) -> SweepTable:
+    q = _coupling_q(args)
+    return _run_sweep(args, cache, "t_half", [
+        (t, _model_params(args, q, beta_from_t_half(t, args.omega_l)))
+        for t in parse_grid(args.t_half)])
+
+
+def _run_sweep_coupling(args, cache) -> SweepTable:
+    beta = beta_from_t_half(args.t_half, args.omega_l)
+    s0 = spin_length(args.n)
+    return _run_sweep(args, cache, "zeta", [
+        (z, _model_params(args, alpha_scaling(z, s0, args.omega_l), beta))
+        for z in parse_grid(args.zeta_grid)])
 
 
 def _run_regimes(args, cache) -> SweepTable:
@@ -334,10 +354,10 @@ def _run_regimes(args, cache) -> SweepTable:
                              tol=args.regime_tol, floor=args.floor,
                              omega_l=args.omega_l, omega_0=args.omega_0,
                              gamma_w=args.gamma_w)
-        return _add_echo(table, args, "regimes")
+        return _add_echo(table, args)
     table = SweepTable(
         columns=("t_half", "zeta_uw_wk", "zeta_wk_im", "zeta_im_us"),
-        metadata=_echo_metadata(args, "regimes"))
+        metadata=_echo_metadata(args))
 
     def boundary(t_half, approx):
         payload = {"command": "regimes", "version": __version__,
@@ -360,16 +380,15 @@ def _run_regimes(args, cache) -> SweepTable:
 def _run_density_map(args, cache) -> SweepTable:
     if args.t_spin <= 0:
         raise ConfigError("--t-spin must be positive (density needs T > 0)")
-    if args.alpha is None and args.zeta is None and args.q is None:
-        args.alpha = 1.0
-    q = _coupling_q(args)
-    beta = beta_from_t_spin(args.t_spin, args.n, args.omega_l)
-    params = _model_params(args, q, beta)
+    if args.zeta is None and args.q is None:
+        args.zeta = 1.0
+    params = ModelParams(n=args.n, omega_l=args.omega_l, theta=args.theta_rad,
+                         bath=BareQBath(_coupling_q(args)),
+                         beta=beta_from_t_spin(args.t_spin, args.n, args.omega_l))
     # tau = exp(lw) / Z in log space: at low temperature both overflow
     log_z = cmf_expectations(params).log_z
     table = SweepTable(columns=("v_theta", "phi", "tau_mf"),
-                       metadata=_echo_metadata(args, "density-map"))
-    from .classical import SphericalPoint
+                       metadata=_echo_metadata(args))
     for v in np.linspace(0.0, math.pi, args.v_count):
         for phi in np.linspace(0.0, 2.0 * math.pi, args.phi_count):
             lw = cmf_logweight(SphericalPoint(float(v), float(phi)), params)
@@ -382,12 +401,11 @@ def _run_dynamics(args, cache) -> SweepTable:
         raise ConfigError("dynamics requires theta > 0")
     q = _coupling_q(args)
     table = SweepTable(columns=("t_half", "sz", "sx", "sz_err", "sx_err"),
-                       metadata=_echo_metadata(args, "dynamics"))
+                       metadata=_echo_metadata(args))
     for i, t_half in enumerate(parse_grid(args.t_half)):
         params = _model_params(args, q, beta_from_t_half(t_half, args.omega_l))
         traj = args.trajectory if i == 0 else None
-        table.append(t_half, *_cell(args, cache, "dynamics", "cdyn", params,
-                                    traj))
+        table.append(t_half, *_cell(args, cache, "cdyn", params, traj))
     return table
 
 
@@ -401,53 +419,31 @@ def _run_correspondence(args, cache) -> SweepTable:
                                  n_list=n_list, method=args.method,
                                  omega_l=args.omega_l, omega_0=args.omega_0,
                                  gamma_w=args.gamma_w)
-    return _add_echo(table, args, "correspondence")
+    return _add_echo(table, args)
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     t_start = time.time()
     try:
-        # first pass only to locate --config; then re-parse with file defaults
-        try:
-            pre, _ = parser.parse_known_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        if getattr(pre, "config", None):
-            file_vals = read_config_file(pre.config)
-            sub_parser = parser._subparsers._group_actions[0].choices[pre.command]
-            sub_map = {a.dest: a for a in sub_parser._actions}
-            defaults = {}
-            for key, val in file_vals.items():
-                if key not in sub_map:
-                    raise ConfigError(f"unknown config key {key!r}")
-                action = sub_map[key]
-                if action.type is not None:
-                    val = action.type(val)
-                elif isinstance(action, argparse._StoreTrueAction):
-                    val = val.lower() in ("1", "true", "yes")
-                defaults[key] = val
-            sub_parser.set_defaults(**defaults)
         try:
             args = parser.parse_args(argv)
+            if args.config:
+                # argv[0] is the subcommand (the top-level parser has no other
+                # argument); argparse converts and checks the file's flags,
+                # and the command line's, which follow them, win
+                args = parser.parse_args(
+                    [argv[0], *read_config_file(args.config), *argv[1:]])
         except SystemExit as exc:
             return int(exc.code or 0)
 
-        if hasattr(args, "theta"):
-            args.theta_rad = parse_angle(args.theta)
-        cache = ResultCache(None if args.no_cache
+        args.theta_rad = parse_angle(args.theta)
+        # density-map and correspondence have no cache flags: they compute
+        # every cell
+        cache = ResultCache(None if getattr(args, "no_cache", True)
                             else default_cache_dir(args.cache_dir))
-
-        if args.command in ("sweep-temperature", "sweep-coupling"):
-            table = _run_sweep(args, cache, args.command)
-        elif args.command == "regimes":
-            table = _run_regimes(args, cache)
-        elif args.command == "density-map":
-            table = _run_density_map(args, cache)
-        elif args.command == "dynamics":
-            table = _run_dynamics(args, cache)
-        else:
-            table = _run_correspondence(args, cache)
+        table = args.run(args, cache)
 
         # wall time and cache stats go to stderr so identical runs produce
         # byte-identical CSV

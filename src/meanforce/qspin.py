@@ -61,21 +61,17 @@ def spin_moments(rho: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class QuGibbsStats:
-    z0: float
     m1: float  # <Sz>
 
 
 def qu_gibbs_stats(beta: float, n: int, omega_l: float) -> QuGibbsStats:
-    """Partition function and <Sz> for H_S = -omega_l*Sz at inverse
-    temperature beta, from the Gibbs weights on the ladder.  z0 is inf past
-    the float range and at beta = inf."""
+    """<Sz> for H_S = -omega_l*Sz at inverse temperature beta, from the
+    Gibbs weights on the ladder."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     m, _ = sz_ladder(n)
-    w = gibbs_weights(-omega_l * m, beta)  # exp(-beta E) / exp(shift)
-    z, shift = math.fsum(w), beta * omega_l * m[0]
-    z0 = z * math.exp(shift) if shift < 700.0 else math.inf
-    return QuGibbsStats(z0=z0, m1=math.fsum(w * m) / z)
+    w = gibbs_weights(-omega_l * m, beta)
+    return QuGibbsStats(m1=math.fsum(w * m) / math.fsum(w))
 
 
 def gibbs_weights(evals: np.ndarray, beta: float) -> np.ndarray:

@@ -89,18 +89,6 @@ def _polygammas(z: complex) -> tuple[complex, complex]:
             head2 + w + w2 * (0.5 + w * s2))
 
 
-def _digamma(z):
-    """Complex digamma psi(z) for Re z > 0, elementwise (see _polygammas)."""
-    return np.array([_polygammas(complex(v))[0] for v in np.ravel(z)],
-                    dtype=complex).reshape(np.shape(z))
-
-
-def _trigamma(z):
-    """Complex trigamma psi'(z) for Re z > 0, elementwise (see _polygammas)."""
-    return np.array([_polygammas(complex(v))[1] for v in np.ravel(z)],
-                    dtype=complex).reshape(np.shape(z))
-
-
 def _log_and_reciprocal(z: complex) -> tuple[complex, complex]:
     return cmath.log(z), 1.0 / z
 

@@ -157,6 +157,43 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert run(["sweep-temperature", "--config", str(cfg)]) == 2
 
 
+def test_config_coupling_yields_to_the_alpha_spelling(tmp_path):
+    # --alpha is --zeta: the flag replaces the file's zeta, and the CSV,
+    # header included, is the flag-only run's
+    cfg = tmp_path / "z.conf"
+    cfg.write_text("zeta = 1.0\n")
+    common = ["sweep-temperature", "--methods", "cmf", "--t-half", "1",
+              "--n", "4", "--no-cache"]
+    assert run([*common, "--config", str(cfg), "--alpha", "0.25",
+                "--output", str(tmp_path / "a.csv")]) == 0
+    assert run([*common, "--zeta", "0.25",
+                "--output", str(tmp_path / "b.csv")]) == 0
+    text = (tmp_path / "a.csv").read_text()
+    assert text == (tmp_path / "b.csv").read_text()
+    assert "# zeta = 0.25" in text and "alpha" not in text
+
+
+def test_config_coupling_clash_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "z.conf"
+    cfg.write_text("zeta = 1.0\n")
+    assert run(["sweep-temperature", "--methods", "cmf", "--t-half", "1",
+                "--config", str(cfg), "--q", "0.5", "--no-cache",
+                "--output", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--q" in err and "--zeta" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value, hits", [("true", 0), ("false", 16)])
+def test_config_switch(tmp_path, capsys, value, hits):
+    # true sets the switch, false leaves it out
+    cfg = tmp_path / "c.conf"
+    cfg.write_text(f"no-cache = {value}\n")
+    for _ in range(2):
+        assert run(sweep_args(tmp_path, extra=("--config", str(cfg)))) == 0
+    assert f"hits {hits}," in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_missing_coupling_is_config_error(tmp_path):
     assert run(["sweep-temperature", "--methods", "cmf", "--no-cache",
                 "--output", str(tmp_path / "x.csv")]) == 2
@@ -174,16 +211,16 @@ def test_dynamics_rejects_theta_zero(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["sweep-temperature", "--zeta", "1", "--t-half", "nan",
-     "--methods", "cgibbs,qgibbs,cmf-us,qmf-us"],
-    ["sweep-coupling", "--zeta-grid", "nan"],
-    ["sweep-temperature", "--q", "inf", "--t-half", "1"],
-    ["regimes", "--t-half", "nan"],
+     "--methods", "cgibbs,qgibbs,cmf-us,qmf-us", "--no-cache"],
+    ["sweep-coupling", "--zeta-grid", "nan", "--no-cache"],
+    ["sweep-temperature", "--q", "inf", "--t-half", "1", "--no-cache"],
+    ["regimes", "--t-half", "nan", "--no-cache"],
     ["correspondence", "--t-spin", "nan"],
     ["density-map", "--t-spin", "nan"],
 ])
 def test_non_finite_values_are_config_errors(tmp_path, capsys, argv):
     # rejected with a message, before any solve or cache key
-    assert run([*argv, "--no-cache", "--output", str(tmp_path / "x.csv")]) == 2
+    assert run([*argv, "--output", str(tmp_path / "x.csv")]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
@@ -191,12 +228,13 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys, argv):
 @pytest.mark.parametrize("omega_l", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["sweep-temperature", "--methods", "cgibbs", "--zeta", "1",
-     "--t-half", "1"],
-    ["regimes", "--flavor", "classical", "--zeta-grid", "1", "--t-half", "1"],
+     "--t-half", "1", "--no-cache"],
+    ["regimes", "--flavor", "classical", "--zeta-grid", "1", "--t-half", "1",
+     "--no-cache"],
     ["correspondence", "--t-spin", "1", "--n-list", "1"],
 ])
 def test_nonpositive_omega_l_is_config_error(tmp_path, capsys, argv, omega_l):
-    assert run([*argv, "--omega-l", omega_l, "--no-cache",
+    assert run([*argv, "--omega-l", omega_l,
                 "--output", str(tmp_path / "x.csv")]) == 2
     assert "omega_l must be finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
@@ -215,6 +253,58 @@ def test_grid_commands_take_no_fixed_coupling(tmp_path, capsys, argv, flag):
                 "--output", str(tmp_path / "x.csv")]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+_SMALL_RUNS = {
+    "density-map": ["density-map", "--t-spin", "1", "--v-count", "3",
+                    "--phi-count", "3"],
+    "correspondence": ["correspondence", "--t-spin", "1", "--n-list", "1"],
+    "regimes": ["regimes", "--flavor", "classical", "--zeta-grid", "1",
+                "--t-half", "1"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    # the classical state reads the bath only through Q
+    *[("density-map", f) for f in ("--seed", "--tol", "--cache-dir",
+                                   "--no-cache", "--omega-0", "--gamma-w")],
+    # the library computes every cell, with no seed or tolerance
+    *[("correspondence", f) for f in ("--seed", "--tol", "--cache-dir",
+                                      "--no-cache")],
+    # the boundary cache key reads --regime-tol
+    ("regimes", "--seed"), ("regimes", "--tol"),
+])
+def test_commands_take_no_flag_they_do_not_read(tmp_path, monkeypatch, capsys,
+                                                command, flag):
+    monkeypatch.chdir(tmp_path)
+    value = [] if flag == "--no-cache" else ["1"]
+    assert run([*_SMALL_RUNS[command], flag, *value,
+                "--output", "x.csv"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-temperature", "--methods", "cgibbs", "--zeta", "1", "--t-half", "1",
+     "--no-cache"],
+    ["sweep-coupling", "--methods", "cgibbs", "--zeta-grid", "1", "--no-cache"],
+    ["regimes", "--flavor", "classical", "--t-half", "1", "--no-cache"],
+    _SMALL_RUNS["regimes"],
+    _SMALL_RUNS["density-map"],
+    ["dynamics", "--zeta", "1", "--t-half", "1", "--omega-0", "1",
+     "--gamma-w", "1", "--t-burn", "1", "--t-sample", "2", "--ensemble", "4",
+     "--no-cache"],
+    _SMALL_RUNS["correspondence"],
+], ids=["sweep-temperature", "sweep-coupling", "regimes", "regimes-atlas",
+        "density-map", "dynamics", "correspondence"])
+def test_headers_echo_values_not_functions(tmp_path, argv):
+    # the command's function rides on the parsed arguments; its repr holds
+    # an address, which would make reruns differ
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--output", str(out)]) == 0
+    head = [ln for ln in out.read_text().split("\n") if ln.startswith("#")]
+    assert f"# command = {argv[0]}" in head
+    assert not any("<function" in ln or " at 0x" in ln for ln in head)
 
 
 def test_sweep_cdyn_cell_equals_dynamics_row(tmp_path):
@@ -236,7 +326,7 @@ def test_density_map_runs(tmp_path):
     out = tmp_path / "d.csv"
     assert run(["density-map", "--theta", "pi/4", "--alpha", "1",
                 "--t-spin", "1", "--v-count", "7", "--phi-count", "9",
-                "--no-cache", "--output", str(out)]) == 0
+                "--output", str(out)]) == 0
     lines = [ln for ln in out.read_text().strip().split("\n")
              if not ln.startswith("#")]
     assert lines[0] == "v_theta,phi,tau_mf"
@@ -251,7 +341,7 @@ def test_density_map_is_normalised(tmp_path):
     out = tmp_path / "d.csv"
     assert run(["density-map", "--theta", "pi/4", "--alpha", "1",
                 "--t-spin", "1", "--v-count", "181", "--phi-count", "361",
-                "--no-cache", "--output", str(out)]) == 0
+                "--output", str(out)]) == 0
     lines = [ln for ln in out.read_text().strip().split("\n")
              if not ln.startswith("#")]
     data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
@@ -269,7 +359,7 @@ def test_density_map_at_low_temperature(tmp_path, t_spin):
     out = tmp_path / "d.csv"
     assert run(["density-map", "--theta", "pi/4", "--alpha", "1",
                 "--t-spin", str(t_spin), "--v-count", "7", "--phi-count", "9",
-                "--no-cache", "--output", str(out)]) == 0
+                "--output", str(out)]) == 0
     lines = [ln for ln in out.read_text().strip().split("\n")
              if not ln.startswith("#")]
     dens = np.array([float(ln.split(",")[2]) for ln in lines[1:]])
@@ -279,8 +369,7 @@ def test_density_map_at_low_temperature(tmp_path, t_spin):
 
 def test_density_map_rejects_zero_temperature(tmp_path):
     assert run(["density-map", "--theta", "pi/4", "--alpha", "1",
-                "--t-spin", "0", "--no-cache",
-                "--output", str(tmp_path / "x.csv")]) == 2
+                "--t-spin", "0", "--output", str(tmp_path / "x.csv")]) == 2
 
 
 def test_sweep_coupling_runs(tmp_path):
@@ -320,7 +409,7 @@ def test_other_errors_propagate(tmp_path, monkeypatch):
 def test_correspondence_command(tmp_path):
     out = tmp_path / "corr.csv"
     assert run(["correspondence", "--alpha", "0.06", "--t-spin", "0.5:2:2",
-                "--n-list", "1,2", "--no-cache", "--output", str(out)]) == 0
+                "--n-list", "1,2", "--output", str(out)]) == 0
     lines = [ln for ln in out.read_text().strip().split("\n")
              if not ln.startswith("#")]
     assert lines[0] == "n,beta_prime,sz,sx"
@@ -331,7 +420,7 @@ def test_correspondence_keeps_the_tables_theta(tmp_path):
     # the library writes theta in radians; the flag's pi/4 does not replace it
     out = tmp_path / "corr.csv"
     assert run(["correspondence", "--theta", "pi/4", "--t-spin", "1",
-                "--n-list", "1", "--no-cache", "--output", str(out)]) == 0
+                "--n-list", "1", "--output", str(out)]) == 0
     theta = [ln.split("=", 1)[1] for ln in out.read_text().split("\n")
              if ln.startswith("# theta =")]
     assert len(theta) == 1 and float(theta[0]) == math.pi / 4

@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 from scipy.special import psi
 
-from meanforce.qweak import _digamma, _trigamma
+from meanforce.qweak import _polygammas
+
+
+def _digamma(z):
+    """_polygammas' digamma, elementwise over an array."""
+    return np.array([_polygammas(complex(v))[0] for v in np.ravel(z)],
+                    dtype=complex).reshape(np.shape(z))
+
+
+def _trigamma(z):
+    """_polygammas' trigamma, elementwise over an array."""
+    return np.array([_polygammas(complex(v))[1] for v in np.ravel(z)],
+                    dtype=complex).reshape(np.shape(z))
 
 # the bath shapes, temperatures and frequencies of test_bath_closed_form.py
 BATHS = [(7.0, 5.0), (7.0, 0.2), (2.0, 1.0), (1.0, 3.0), (3.0, 10.0)]
