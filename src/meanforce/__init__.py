@@ -33,7 +33,7 @@ from .classical import (
 )
 from .qspin import QuGibbsStats, qu_gibbs_stats, s_theta, spin_moments, sz_ladder, thermal_state
 from .qweak import BathIntegrals, bath_a, bath_combos, qmf_wk_expectations, qmf_wk_state
-from .qrc import RcNotConverged, RcParams, RcResult, rc_expectations, rc_hamiltonian, rc_mf_state, rc_params
+from .qrc import RcNotConverged, RcResult, rc_expectations, rc_hamiltonian, rc_mf_state
 from .limits import correspondence_sweep, mll_bare_ratio, us_expectations, us_quantum_state
 from .regimes import RegimePoint, approx_error, classify_point, find_boundary, regime_atlas
 from .dynamics import SimConfig, simulate_steady

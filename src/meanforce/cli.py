@@ -16,9 +16,11 @@ exception propagates.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
+import os
 import re
 import sys
 import time
@@ -397,8 +399,7 @@ def _run_density_map(args, cache) -> SweepTable:
 
 
 def _run_dynamics(args, cache) -> SweepTable:
-    if args.theta_rad <= 0:
-        raise ConfigError("dynamics requires theta > 0")
+    # theta = 0 fails in the first cell's simulate_steady, before any step
     q = _coupling_q(args)
     table = SweepTable(columns=("t_half", "sz", "sx", "sz_err", "sx_err"),
                        metadata=_echo_metadata(args))
@@ -443,17 +444,27 @@ def run(argv=None) -> int:
         # every cell
         cache = ResultCache(None if getattr(args, "no_cache", True)
                             else default_cache_dir(args.cache_dir))
-        table = args.run(args, cache)
-
-        # wall time and cache stats go to stderr so identical runs produce
-        # byte-identical CSV
-        print("wall time %.3f s, cache hits %d, misses %d"
-              % (time.time() - t_start, cache.hits, cache.misses),
-              file=sys.stderr)
-        if args.output:
-            table.to_csv(args.output)
-        else:
-            sys.stdout.write(table.to_csv())
+        # an unwritable output path fails before any cell is computed, and
+        # a failed run removes the file it created
+        created = bool(args.output) and not os.path.lexists(args.output)
+        try:
+            out = (open(args.output, "w", newline="") if args.output
+                   else contextlib.nullcontext(sys.stdout))
+        except OSError as exc:
+            raise ConfigError(f"cannot open output file: {exc}")
+        try:
+            with out as fh:
+                table = args.run(args, cache)
+                # wall time and cache stats go to stderr so identical runs
+                # produce byte-identical CSV
+                print("wall time %.3f s, cache hits %d, misses %d"
+                      % (time.time() - t_start, cache.hits, cache.misses),
+                      file=sys.stderr)
+                fh.write(table.to_csv())
+        except BaseException:
+            if created:
+                os.remove(args.output)
+            raise
         return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

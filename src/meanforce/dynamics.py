@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import _bath_panels, _bath_terms, _zero_temperature_maxima
-from .model import ModelParams
+from .model import ModelParams, _check_positive, lorentzian_bath
 from .results import SpinExpectation
 
 __all__ = [
@@ -48,7 +48,8 @@ _THETA_MSG = (
 
 def _max_rate(params: ModelParams) -> float:
     """The fastest rate of the dynamics, max(omega_l, omega_0, Gamma)."""
-    return max(params.omega_l, params.bath.omega_0, params.bath.gamma_w)
+    bath = lorentzian_bath(params.bath, "Langevin dynamics")
+    return max(params.omega_l, bath.omega_0, bath.gamma_w)
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ class SimConfig:
             raise ValueError(
                 "dt must satisfy 0 < dt <= 0.05/max(omega_l, omega_0, Gamma)"
                 " = %g" % (0.05 / rate))
-        if self.t_burn <= 0 or self.t_sample <= 0:
-            raise ValueError("t_burn and t_sample must be positive")
+        _check_positive(t_burn=self.t_burn, t_sample=self.t_sample)
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         if self.ensemble < 1:

@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classical import _us_tanh, cl_gibbs_stats, us_expectations
-from .model import LorentzianBath, ModelParams, alpha_scaling, spin_length
+from .model import (BareQBath, LorentzianBath, ModelParams, _check_positive,
+                    alpha_scaling, spin_length)
 from .qspin import gibbs_weights, s_theta, spin_moments, sz_ladder
 from .results import SweepTable
 from .solvers import SOLVERS
@@ -62,8 +63,7 @@ def mll_bare_ratio(beta_prime: float, n: int, omega_l: float = 1.0) -> float:
     Both partition functions are taken in log space, so the ratio stays
     finite where either overflows.  Tends to 1 as n grows (the bare-spin
     large-spin limit)."""
-    if beta_prime <= 0:
-        raise ValueError("beta_prime must be positive")
+    _check_positive(beta_prime=beta_prime)
     beta = beta_prime / spin_length(n)
     m, _ = sz_ladder(n)
     evals = -omega_l * m
@@ -88,7 +88,7 @@ def correspondence_sweep(alpha: float, theta: float,
     quantum = {"WK": "qmf-wk", "RC": "qmf-rc"}.get(method)
     if quantum is None:
         raise ValueError("method must be WK or RC")
-    n_list = list(n_list)
+    spins = [(n, spin_length(n)) for n in n_list]  # n >= 1, checked first
     table = SweepTable(
         columns=("n", "beta_prime", "sz", "sx"),
         metadata={"alpha": alpha, "theta": theta, "method": method,
@@ -96,16 +96,15 @@ def correspondence_sweep(alpha: float, theta: float,
     )
     classical = {}
     for bp in beta_prime_grid:
-        # classical row: scaling-invariant in n, evaluate once at n = 2
-        q = alpha_scaling(alpha, 1.0, omega_l)
+        # classical row: scaling-invariant in n, evaluate once at n = 2;
+        # cmf reads the bath only through Q
         p = ModelParams(n=2, omega_l=omega_l, theta=theta,
-                        bath=LorentzianBath.from_q(q, omega_0, gamma_w),
+                        bath=BareQBath(alpha_scaling(alpha, 1.0, omega_l)),
                         beta=bp)
         c = SOLVERS["cmf"](p)
         classical[bp] = c
         table.append(0, bp, c.sz, c.sx)
-    for n in n_list:
-        s0 = n / 2.0
+    for n, s0 in spins:
         q = alpha_scaling(alpha, s0, omega_l)
         bath = LorentzianBath.from_q(q, omega_0, gamma_w)
         dev = 0.0

@@ -18,6 +18,7 @@ __all__ = [
     "LorentzianBath",
     "BareQBath",
     "BathSpec",
+    "lorentzian_bath",
     "ModelParams",
     "spin_length",
     "lorentzian_q",
@@ -36,6 +37,14 @@ def _check_finite(record, *fields) -> None:
         value = getattr(record, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive(**values) -> None:
+    """Raise ValueError naming the first of values that is not positive
+    (NaN is not)."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _check_omega_l(omega_l: float) -> None:
@@ -57,8 +66,7 @@ def lorentzian_q(a_lor: float, omega_0: float) -> float:
     """Reorganization energy Q = A/(2*omega_0^2) of a Lorentzian bath."""
     if a_lor < 0:
         raise ValueError("a_lor must be nonnegative")
-    if omega_0 <= 0:
-        raise ValueError("omega_0 must be positive")
+    _check_positive(omega_0=omega_0)
     return a_lor / (2.0 * omega_0**2)
 
 
@@ -71,6 +79,7 @@ def zeta(q: float, s0: float, omega_l: float) -> float:
 def alpha_scaling(alpha: float, s0: float, omega_l: float = 1.0) -> float:
     """Reorganization energy Q = alpha*omega_l/S0 (spin-length scaling)."""
     _check_omega_l(omega_l)
+    _check_positive(s0=s0)
     return alpha * omega_l / s0
 
 
@@ -89,8 +98,7 @@ class LorentzianBath:
         _check_finite(self, "a_lor", "omega_0", "gamma_w")
         if self.a_lor < 0:
             raise ValueError("a_lor must be nonnegative")
-        if self.omega_0 <= 0 or self.gamma_w <= 0:
-            raise ValueError("omega_0 and gamma_w must be positive")
+        _check_positive(omega_0=self.omega_0, gamma_w=self.gamma_w)
 
     @property
     def q(self) -> float:
@@ -128,6 +136,15 @@ class BareQBath:
 BathSpec = Union[LorentzianBath, BareQBath]
 
 
+def lorentzian_bath(bath: BathSpec, solver: str) -> LorentzianBath:
+    """bath itself if it is Lorentzian; otherwise a TypeError naming the
+    solver that needs the spectral shape."""
+    if not isinstance(bath, LorentzianBath):
+        raise TypeError(f"{solver} requires a Lorentzian bath, got "
+                        f"{type(bath).__name__}")
+    return bath
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Full parameter record consumed by every solver.
@@ -146,8 +163,7 @@ class ModelParams:
         _check_finite(self, "n", "omega_l")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("n must be a positive integer")
-        if self.omega_l <= 0:
-            raise ValueError("omega_l must be positive")
+        _check_positive(omega_l=self.omega_l)
         if not 0.0 <= self.theta <= math.pi / 2:
             raise ValueError("theta must lie in [0, pi/2]")
         if not self.beta >= 0:

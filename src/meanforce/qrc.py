@@ -2,11 +2,11 @@
 
 The Lorentzian reservoir is mapped onto a single harmonic mode (frequency
 Omega = omega_0, coupling lambda = sqrt(Q*omega_0)) that couples to the spin
-through S_theta; the residual bath strength gamma = Gamma/(2*pi*omega_0) is
-reported and dropped.  The composite Hamiltonian is diagonalized densely,
-once per oscillator cutoff; that one decomposition gives both the
-spin-reduced Gibbs state and ln Z.  The cutoff is doubled until the spin
-observables stop moving.
+through S_theta; the residual bath, of strength gamma = Gamma/(2*pi*omega_0),
+is dropped, with a warning when gamma > 0.05.  The composite Hamiltonian is
+diagonalized densely, once per oscillator cutoff; that one decomposition
+gives both the spin-reduced Gibbs state and ln Z.  The cutoff is doubled
+until the spin observables stop moving.
 """
 
 from __future__ import annotations
@@ -14,20 +14,18 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import LorentzianBath, ModelParams
+from .model import ModelParams, lorentzian_bath
 from .qspin import gibbs_weights, s_theta, spin_moments, sz_ladder
 from .results import SpinExpectation
 
 __all__ = [
-    "RcParams",
     "RcResult",
     "RcNotConverged",
-    "rc_params",
     "rc_hamiltonian",
     "rc_mf_state",
     "rc_expectations",
@@ -41,60 +39,38 @@ class RcNotConverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RcParams:
-    omega_rc: float
-    lambda_rc: float
-    gamma_rc: float
-    n_levels: int
-
-    def __post_init__(self):
-        if self.n_levels < 2:
-            raise ValueError("need at least 2 oscillator levels")
-
-
-@dataclass(frozen=True)
 class RcResult:
     rho: np.ndarray
     n_used: int
     z_mf: Optional[float] = None
 
 
-def rc_params(bath: LorentzianBath, n_levels: int = 16) -> RcParams:
-    if not isinstance(bath, LorentzianBath):
-        raise TypeError("reaction-coordinate mapping requires a Lorentzian bath")
-    gamma = bath.gamma_w / (2.0 * math.pi * bath.omega_0)
-    if gamma > 0.05:
-        warnings.warn(
-            f"residual-bath strength gamma_rc = {gamma:.4f} > 0.05; dropping "
-            "the residual bath is a poorer approximation here",
-            stacklevel=2,
-        )
-    return RcParams(
-        omega_rc=bath.omega_0,
-        lambda_rc=math.sqrt(bath.q * bath.omega_0),
-        gamma_rc=gamma,
-        n_levels=n_levels,
-    )
+def _rc_mode(params: ModelParams) -> tuple[float, float]:
+    """The reaction coordinate's (Omega, lambda) = (omega_0, sqrt(Q*omega_0))."""
+    bath = lorentzian_bath(params.bath, "qmf-rc")
+    return bath.omega_0, math.sqrt(bath.q * bath.omega_0)
 
 
-def rc_hamiltonian(params: ModelParams, rc: RcParams) -> np.ndarray:
+def rc_hamiltonian(params: ModelParams, n_levels: int) -> np.ndarray:
     """-omega_l Sz x 1 + Omega 1 x a^dag a + lambda S_theta x (a + a^dag)
-    in the Sz (x) number basis.
+    in the Sz (x) number basis, the oscillator cut at n_levels >= 2.
 
     Every term is real in this basis, so the matrix is real symmetric and
     its eigendecomposition runs in real arithmetic, several times cheaper
     than the complex Hermitian one."""
-    n_osc = rc.n_levels
-    dim = (params.n + 1) * n_osc
+    if n_levels < 2:
+        raise ValueError("need at least 2 oscillator levels")
+    dim = (params.n + 1) * n_levels
     if dim > _DIM_LIMIT:
         raise ValueError(f"composite dimension {dim} exceeds {_DIM_LIMIT}")
+    omega, lam = _rc_mode(params)
     m, _ = sz_ladder(params.n)
-    a = np.diag(np.sqrt(np.arange(1, n_osc, dtype=float)), k=1)
-    h = rc.lambda_rc * np.kron(s_theta(params.n, params.theta), a + a.T)
+    a = np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), k=1)
+    h = lam * np.kron(s_theta(params.n, params.theta), a + a.T)
     # a + a^dag has a zero diagonal, so the coupling term's is zero too and
     # the free part -omega_l m_j + Omega k fills it
     np.fill_diagonal(h, np.add.outer(-params.omega_l * m,
-                                     rc.omega_rc * np.arange(n_osc)))
+                                     omega * np.arange(n_levels)))
     return h
 
 
@@ -112,21 +88,21 @@ _eigh_key = None
 _eigh_chain: dict = {}
 
 
-def _rc_eigh(params: ModelParams, rc: RcParams):
-    """Read-only (evals, vecs) of rc_hamiltonian(params, rc), kept for the
-    last Hamiltonian only: another key drops the old chain before its
-    first eigh runs."""
+def _rc_eigh(params: ModelParams, n_levels: int):
+    """Read-only (evals, vecs) of rc_hamiltonian(params, n_levels), kept
+    for the last Hamiltonian only: another key drops the old chain before
+    its first eigh runs."""
     global _eigh_key
-    key = (params.n, params.omega_l, params.theta, rc.omega_rc, rc.lambda_rc)
+    key = (params.n, params.omega_l, params.theta, *_rc_mode(params))
     if key != _eigh_key:
         _eigh_chain.clear()
         _eigh_key = key
-    pair = _eigh_chain.get(rc.n_levels)
+    pair = _eigh_chain.get(n_levels)
     if pair is None:
-        pair = np.linalg.eigh(rc_hamiltonian(params, rc))
+        pair = np.linalg.eigh(rc_hamiltonian(params, n_levels))
         for a in pair:
             a.flags.writeable = False
-        _eigh_chain[rc.n_levels] = pair
+        _eigh_chain[n_levels] = pair
     return pair
 
 
@@ -162,27 +138,34 @@ def rc_mf_state(params: ModelParams, tol: float = 1e-6,
     range).  The last 256 results are memoised; the regime scans revisit
     the same couplings once per approximation.
     """
-    rc = rc_params(params.bath)
+    bath = lorentzian_bath(params.bath, "qmf-rc")
+    omega = bath.omega_0
+    gamma = bath.gamma_w / (2.0 * math.pi * omega)
+    if gamma > 0.05:
+        warnings.warn(
+            f"residual-bath strength gamma_rc = {gamma:.4f} > 0.05; dropping "
+            "the residual bath is a poorer approximation here",
+            stacklevel=2,
+        )
     d_spin = params.n + 1
     beta = params.beta
     prev = None
     n_levels = 16
-    if beta > 0 and beta * rc.omega_rc < 50.0:
+    if beta > 0 and beta * omega < 50.0:
         # two under-truncated solves can agree within tol while both miss
         # most of the thermal weight; keep the cutoff above the occupation
-        n_bar = 1.0 / math.expm1(beta * rc.omega_rc)
+        n_bar = 1.0 / math.expm1(beta * omega)
         while n_levels < 4.0 * n_bar + 10.0 and n_levels < n_max:
             n_levels *= 2
     while n_levels <= n_max:
-        rc = replace(rc, n_levels=n_levels)
-        evals, vecs = _rc_eigh(params, rc)
+        evals, vecs = _rc_eigh(params, n_levels)
         w = gibbs_weights(evals, beta)
         rho = _reduced_state(vecs, w, d_spin)
         sz, sx = spin_moments(rho)
         if prev is not None and abs(sz - prev[0]) < tol and abs(sx - prev[1]) < tol:
             z_mf = None
             if not math.isinf(beta):
-                log_zr = _log_geometric(beta * rc.omega_rc, n_levels)
+                log_zr = _log_geometric(beta * omega, n_levels)
                 log_z_mf = -beta * evals[0] + math.log(w.sum()) - log_zr
                 z_mf = math.exp(log_z_mf) if log_z_mf < 709.0 else math.inf
             # the result is memoised and shared: callers may not write it

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import LorentzianBath, ModelParams
+from .model import LorentzianBath, ModelParams, _check_positive, lorentzian_bath
 from .qspin import gibbs_weights, sz_ladder
 from .results import SpinExpectation
 
@@ -182,12 +182,8 @@ def bath_a(bath: LorentzianBath, beta: float, omega_n: float) -> float:
 
     wn = 0 returns Q exactly; beta = inf drops the occupation terms.
     """
-    if not isinstance(bath, LorentzianBath):
-        raise TypeError("bath integrals require a Lorentzian bath")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if beta == 0.0:
-        raise ValueError("A_beta diverges at beta = 0")
+    lorentzian_bath(bath, "bath_a")
+    _check_positive(beta=beta)  # A_beta diverges at beta = 0
     if omega_n == 0.0:
         return bath.q
     return _a_closed(bath, beta, omega_n, 1)
@@ -216,13 +212,6 @@ def bath_combos(bath: LorentzianBath, beta: float, omega_l: float) -> BathIntegr
     )
 
 
-def _require_lorentzian(params: ModelParams) -> LorentzianBath:
-    if not isinstance(params.bath, LorentzianBath):
-        raise TypeError("weak-coupling quantum corrections require a "
-                        "Lorentzian bath")
-    return params.bath
-
-
 def _wk_bands(params: ModelParams):
     """The Sz ladder m_j = S0 - j, a_j = <m_j + 1|S+|m_j> (j = 1..n) of
     sz_ladder and the diagonals d_j = rho[j, j], e_j = rho[j-1, j],
@@ -243,7 +232,7 @@ def _wk_bands(params: ModelParams):
     The correction is traceless.  The beta term vanishes at beta = inf and
     is dropped there; beta = 0 gives p.
     """
-    bath = _require_lorentzian(params)
+    bath = lorentzian_bath(params.bath, "qmf-wk")
     beta, theta, wl, n = params.beta, params.theta, params.omega_l, params.n
     m, a = sz_ladder(n)
     a2 = np.zeros(n + 2)  # a_j^2 for j = 0..n+1, zero past the ends

@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (LorentzianBath, ModelParams, alpha_scaling,
-                    beta_from_t_half, spin_length, t_half_from_beta)
+from .model import (LorentzianBath, ModelParams, _check_positive,
+                    alpha_scaling, beta_from_t_half, spin_length,
+                    t_half_from_beta)
 from .results import SpinExpectation, SweepTable
 from .solvers import SOLVERS
 
@@ -74,9 +75,10 @@ def approx_error(exact: SpinExpectation, approx: SpinExpectation,
                  floor: float = CLASSIFY_FLOOR) -> float:
     """max over components of |approx - exact| / max(|exact|, floor).
 
-    The denominator floor keeps the metric finite where a component crosses
-    zero.
+    The denominator floor > 0 keeps the metric finite where a component
+    crosses zero.
     """
+    _check_positive(floor=floor)
     ez = abs(approx.sz - exact.sz) / max(abs(exact.sz), floor)
     ex = abs(approx.sx - exact.sx) / max(abs(exact.sx), floor)
     return max(ez, ex)
@@ -98,6 +100,7 @@ def _approx_errors(params: ModelParams, flavor: str, approxes,
 def classify_point(params: ModelParams, flavor: str = "quantum",
                    tol: float = DEFAULT_TOL,
                    floor: float = CLASSIFY_FLOOR) -> RegimePoint:
+    _check_positive(tol=tol, floor=floor)
     exact, (err_uw, err_wk, err_us) = _approx_errors(params, flavor, _APPROX,
                                                      floor)
     if err_uw < tol:
@@ -143,6 +146,7 @@ def find_boundary(t_half: float, theta: float, approx: str,
     """
     if approx not in _APPROX:
         raise ValueError("approx must be UW, WK or US")
+    _check_positive(tol=tol, floor=floor)
 
     def err(z):
         p = _params_at(z, t_half, theta, n, omega_l, omega_0, gamma_w)
@@ -181,6 +185,7 @@ def regime_atlas(theta: float, zeta_grid: Sequence[float],
                  gamma_w: float = DEFAULT_GAMMA_W) -> SweepTable:
     """Classify every (zeta, t_half) grid cell; solver failures are recorded
     in-row with label ERR rather than aborting the sweep."""
+    _check_positive(tol=tol, floor=floor)
     table = SweepTable(
         columns=("zeta", "t_half", "err_uw", "err_wk", "err_us", "label",
                  "n_rc_used", "backend"),

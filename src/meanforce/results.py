@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 __all__ = ["SpinExpectation", "SweepTable", "format_sig"]
 
@@ -54,14 +54,9 @@ class SweepTable:
             )
         self.rows.append(tuple(values))
 
-    def to_csv(self, path=None) -> Optional[str]:
+    def to_csv(self) -> str:
         lines = [f"# {key} = {value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
         for row in self.rows:
             lines.append(",".join(format_sig(v) for v in row))
-        text = "\n".join(lines) + "\n"
-        if path is None:
-            return text
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-        return None
+        return "\n".join(lines) + "\n"

@@ -436,3 +436,48 @@ def test_regime_atlas_has_metadata_header(tmp_path):
     assert "# command = regimes" in head
     assert f"# version = {cli.__version__}" in head
     assert any(ln.startswith("# metric = ") for ln in head)
+
+
+def test_unwritable_output_exits_2_before_any_cell(tmp_path, monkeypatch,
+                                                    capsys):
+    # the path is opened before the first cell is computed, and the error
+    # names it
+    monkeypatch.setitem(SOLVERS, "cgibbs",
+                        _failing_solver(AssertionError("cell computed")))
+    out = tmp_path / "missing" / "x.csv"
+    assert run(sweep_args(tmp_path, out=out, extra=("--no-cache",))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot open output file") and str(out) in err
+    assert not out.parent.exists()
+
+
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys):
+    argv = sweep_args(tmp_path, extra=("--no-cache",))
+    assert run([*argv[:-3], *argv[-1:]]) == 0  # without --output
+    stdout = capsys.readouterr().out
+    assert run(argv) == 0
+    assert (tmp_path / "out.csv").read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("n_list", ["0", "1,0", "-2"])
+def test_correspondence_rejects_spin_sizes_below_one(tmp_path, capsys,
+                                                     n_list):
+    assert run(["correspondence", "--t-spin", "1", "--n-list", n_list,
+                "--output", str(tmp_path / "x.csv")]) == 2
+    assert "n must be >= 1" in capsys.readouterr().err
+    # a failed run leaves no output file behind
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--regime-tol", "--floor"])
+@pytest.mark.parametrize("value", ["0", "-0.5"])
+@pytest.mark.parametrize("extra", [(), ("--zeta-grid", "log:0.1:1:2")],
+                         ids=["boundaries", "atlas"])
+def test_regimes_reject_nonpositive_tolerance_and_floor(tmp_path, capsys,
+                                                        flag, value, extra):
+    # no scan of the window and no ERR rows: the value is refused first
+    assert run(["regimes", "--flavor", "classical", "--t-half", "0",
+                "--no-cache", flag, value, *extra,
+                "--output", str(tmp_path / "x.csv")]) == 2
+    name = "tol" if flag == "--regime-tol" else "floor"
+    assert f"{name} must be positive" in capsys.readouterr().err

@@ -125,3 +125,9 @@ def test_correspondence_deviation_shrinks_with_n():
 def test_correspondence_rejects_unknown_method():
     with pytest.raises(ValueError):
         correspondence_sweep(0.06, math.pi / 4, [1.0], method="exact")
+
+
+@pytest.mark.parametrize("n_list", [(0,), (1, 0), (-3,)])
+def test_correspondence_rejects_spin_sizes_below_one(n_list):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        correspondence_sweep(0.06, math.pi / 4, [1.0], n_list=n_list)

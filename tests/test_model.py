@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from meanforce.dynamics import SimConfig, simulate_steady
 from meanforce.model import (
     BareQBath,
     LorentzianBath,
@@ -19,6 +20,8 @@ from meanforce.model import (
     t_spin_from_beta,
     zeta,
 )
+from meanforce.qrc import rc_mf_state
+from meanforce.qweak import qmf_wk_expectations
 
 
 def test_spin_length():
@@ -53,6 +56,10 @@ def test_zeta_and_alpha_roundtrip():
     s0, wl = 2.5, 1.3
     q = alpha_scaling(0.42, s0, wl)
     assert zeta(q, s0, wl) == pytest.approx(0.42, rel=1e-15)
+    # a spin length of zero (n = 0) has no scaling
+    for s0 in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="s0"):
+            alpha_scaling(0.42, s0, wl)
 
 
 def test_bath_from_q_roundtrip():
@@ -79,6 +86,23 @@ def test_bare_q_bath_rejects_shape_queries():
     assert not hasattr(bath, "j")
     with pytest.raises(ValueError):
         BareQBath(q=-0.5)
+
+
+@pytest.mark.parametrize("solver, entry", [
+    ("qmf-wk", qmf_wk_expectations),
+    ("qmf-rc", rc_mf_state),
+    ("Langevin dynamics", lambda p: simulate_steady(p, SimConfig(dt=1e-3))),
+    ("Langevin dynamics", SimConfig.for_params),
+], ids=["qmf-wk", "qmf-rc", "simulate_steady", "for_params"])
+def test_bare_q_bath_is_rejected_by_every_solver_of_the_bath_shape(solver,
+                                                                     entry):
+    # one TypeError naming the solver, from each solver that reads omega_0
+    # or Gamma
+    p = ModelParams(n=1, omega_l=1.0, theta=0.3, bath=BareQBath(q=0.1),
+                    beta=1.0)
+    with pytest.raises(TypeError, match=f"^{solver} requires a Lorentzian "
+                                        "bath, got BareQBath$"):
+        entry(p)
 
 
 def test_model_params_validation():

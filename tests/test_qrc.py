@@ -11,15 +11,8 @@ from scipy.special import logsumexp
 from dense_spin import spin_operators
 from meanforce import qrc
 from meanforce.limits import us_expectations
-from meanforce.model import BareQBath, LorentzianBath, ModelParams, beta_from_t_half
-from meanforce.qrc import (
-    RcNotConverged,
-    RcParams,
-    rc_expectations,
-    rc_hamiltonian,
-    rc_mf_state,
-    rc_params,
-)
+from meanforce.model import LorentzianBath, ModelParams, beta_from_t_half
+from meanforce.qrc import RcNotConverged, rc_expectations, rc_hamiltonian, rc_mf_state
 from meanforce.qspin import thermal_state
 from meanforce.qweak import qmf_wk_expectations
 
@@ -32,33 +25,46 @@ def make_params(zeta_val=1.0, theta=math.pi / 4, beta=2.0, n=1,
 
 
 def test_rc_parameter_mapping():
-    bath = LorentzianBath.from_q(2.0, omega_0=7.0, gamma_w=0.2)
-    rc = rc_params(bath)
-    assert rc.omega_rc == 7.0
-    assert rc.lambda_rc == pytest.approx(math.sqrt(2.0 * 7.0), rel=1e-14)
-    assert rc.gamma_rc == pytest.approx(0.2 / (2.0 * math.pi * 7.0), rel=1e-14)
+    # Omega = omega_0 on the oscillator diagonal and lambda = sqrt(Q omega_0)
+    # on the coupling, read off the Hamiltonian at theta = 0, where the
+    # coupling is lambda Sz x (a + a^dag)
+    p = ModelParams(n=1, omega_l=1.0, theta=0.0, beta=2.0,
+                    bath=LorentzianBath.from_q(2.0, omega_0=7.0, gamma_w=0.2))
+    h = rc_hamiltonian(p, 3)
+    assert np.array_equal(np.diag(h)[:3], -0.5 + 7.0 * np.arange(3))
+    assert h[0, 1] == pytest.approx(0.5 * math.sqrt(2.0 * 7.0), rel=1e-14)
 
 
 def test_rc_params_warns_on_strong_residual_bath():
-    bath = LorentzianBath.from_q(1.0, omega_0=7.0, gamma_w=5.0)
-    with pytest.warns(UserWarning, match="residual-bath"):
-        rc = rc_params(bath)
-    assert rc.gamma_rc > 0.05
-    with pytest.raises(TypeError):
-        rc_params(BareQBath(q=1.0))
-    with pytest.raises(ValueError):
-        RcParams(omega_rc=7.0, lambda_rc=1.0, gamma_rc=0.0, n_levels=1)
+    # once per solve, when gamma = Gamma/(2 pi omega_0) exceeds 0.05
+    for gamma in (0.2 / (2.0 * math.pi * 7.0), 0.0499, 0.0501, 0.1137):
+        rc_mf_state.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc_mf_state(make_params(zeta_val=0.4,
+                                    gamma_w=2.0 * math.pi * 7.0 * gamma))
+        hits = [w for w in caught if "residual-bath" in str(w.message)]
+        assert len(hits) == (gamma > 0.05)
+        if hits:
+            assert hits[0].category is UserWarning
+            assert f"gamma_rc = {gamma:.4f} > 0.05" in str(hits[0].message)
+
+
+def test_rc_needs_two_oscillator_levels():
+    p = make_params()
+    with pytest.raises(ValueError, match="2 oscillator levels"):
+        rc_hamiltonian(p, 1)
+    assert rc_hamiltonian(p, 2).shape == (4, 4)
 
 
 def test_rc_hamiltonian_structure():
     p = make_params(zeta_val=1.0, n=1)
-    rc = rc_params(p.bath, n_levels=4)
-    h = rc_hamiltonian(p, rc)
+    h = rc_hamiltonian(p, 4)
     assert h.shape == (8, 8)
     assert np.allclose(h, h.conj().T, atol=1e-12)
     # zero coupling block-diagonalizes into spin (x) oscillator spectra
     p0 = make_params(zeta_val=0.0)
-    h0 = rc_hamiltonian(p0, rc_params(p0.bath, n_levels=4))
+    h0 = rc_hamiltonian(p0, 4)
     evals = np.sort(np.linalg.eigvalsh(h0))
     expect = np.sort([s * -p0.omega_l + 7.0 * k
                       for s in (0.5, -0.5) for k in range(4)])
@@ -71,19 +77,19 @@ def test_rc_hamiltonian_matches_dense_kron(n, theta):
     # the ladder assembly is bit-identical to the dense complex operators'
     # real parts: a_j^2 = j(n + 1 - j) is an exact integer in both
     p = make_params(zeta_val=1.3, theta=theta, n=n)
-    rc = rc_params(p.bath, n_levels=8)
     so = spin_operators(n)
     a = np.diag(np.sqrt(np.arange(1, 8, dtype=float)), k=1)
+    lam = math.sqrt(p.q * 7.0)
     ref = (np.kron(-p.omega_l * so.sz.real, np.eye(8))
-           + np.kron(np.eye(n + 1), rc.omega_rc * np.diag(np.arange(8.0)))
-           + rc.lambda_rc * np.kron(so.s_theta(theta).real, a + a.T))
-    assert np.array_equal(rc_hamiltonian(p, rc), ref)
+           + np.kron(np.eye(n + 1), 7.0 * np.diag(np.arange(8.0)))
+           + lam * np.kron(so.s_theta(theta).real, a + a.T))
+    assert np.array_equal(rc_hamiltonian(p, 8), ref)
 
 
 def test_rc_dimension_guard():
     p = make_params(n=100)
     with pytest.raises(ValueError, match="dimension"):
-        rc_hamiltonian(p, rc_params(p.bath, n_levels=512))
+        rc_hamiltonian(p, 512)
 
 
 def test_rc_matches_weak_coupling_at_tiny_zeta():
@@ -164,8 +170,7 @@ def _dense_reference(params, tol=1e-6, n_max=2048):
             n_levels *= 2
     prev = None
     while n_levels <= n_max:
-        rc = rc_params(params.bath, n_levels=n_levels)
-        h = rc_hamiltonian(params, rc)
+        h = rc_hamiltonian(params, n_levels)
         rho = thermal_state(h, beta).reshape(
             d_spin, n_levels, d_spin, n_levels).trace(axis1=1, axis2=3)
         sz = float(np.trace(rho @ so.sz).real)
@@ -174,7 +179,7 @@ def _dense_reference(params, tol=1e-6, n_max=2048):
             z_mf = None
             if not math.isinf(beta):
                 log_z_mf = (logsumexp(-beta * np.linalg.eigvalsh(h))
-                            - logsumexp(-beta * rc.omega_rc * np.arange(n_levels)))
+                            - logsumexp(-beta * params.bath.omega_0 * np.arange(n_levels)))
                 z_mf = math.exp(log_z_mf) if log_z_mf < 709.0 else math.inf
             return rho, n_levels, z_mf
         prev = (sz, sx)
@@ -242,9 +247,9 @@ def test_rc_temperature_sweep_diagonalises_each_cutoff_once(monkeypatch):
     built = []
     original = qrc.rc_hamiltonian
 
-    def counting(params, rc):
-        built.append(rc.n_levels)
-        return original(params, rc)
+    def counting(params, n_levels):
+        built.append(n_levels)
+        return original(params, n_levels)
 
     monkeypatch.setattr(qrc, "rc_hamiltonian", counting)
     _solve_cold(make_params(zeta_val=0.7, beta=math.inf))
@@ -274,8 +279,7 @@ def test_rc_memo_holds_only_the_last_hamiltonians_chain(change):
     _solve_cold(make_params(zeta_val=1.0, beta=1.0))
     p = make_params(**{"zeta_val": 1.0, "beta": 1.0, **change})
     res = rc_mf_state(p)
-    rc = rc_params(p.bath)
     assert max(qrc._eigh_chain) == res.n_used
     for n_levels, (evals, vecs) in qrc._eigh_chain.items():
-        h = rc_hamiltonian(p, replace(rc, n_levels=n_levels))
+        h = rc_hamiltonian(p, n_levels)
         assert np.array_equal(vecs, np.linalg.eigh(h)[1])

@@ -37,6 +37,23 @@ def make_params(zeta_val, t_half, theta=math.pi / 4, n=1):
     return ModelParams(n=n, omega_l=1.0, theta=theta, bath=bath, beta=beta)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan])
+def test_tolerance_and_floor_must_be_positive(bad):
+    # floor 0 divided by an exact component of 0; a tolerance of 0 or less
+    # is never crossed
+    zero = SpinExpectation(sz=0.0, sx=0.0)
+    with pytest.raises(ValueError, match="floor must be positive"):
+        approx_error(zero, zero, floor=bad)
+    p = make_params(1.0, 0.0)
+    for kw, name in (({"tol": bad}, "tol"), ({"floor": bad}, "floor")):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            classify_point(p, flavor="classical", **kw)
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            find_boundary(0.0, math.pi / 4, "WK", flavor="classical", **kw)
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            regime_atlas(math.pi / 4, [1.0], [0.0], flavor="classical", **kw)
+
+
 def test_classify_labels_follow_coupling():
     # classical flavor keeps the exact backend cheap
     assert classify_point(make_params(1e-3, 1.0), flavor="classical").label == "UW"
