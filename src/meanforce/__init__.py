@@ -31,7 +31,7 @@ from .classical import (
     cmf_sample,
     cmf_wk_expectations,
 )
-from .qspin import QuGibbsStats, qu_gibbs_stats, s_theta, spin_moments, sz_ladder, thermal_state
+from .qspin import qu_gibbs_stats, s_theta, spin_moments, sz_ladder, thermal_state
 from .qweak import BathIntegrals, bath_a, bath_combos, qmf_wk_expectations, qmf_wk_state
 from .qrc import RcNotConverged, RcResult, rc_expectations, rc_hamiltonian, rc_mf_state
 from .limits import correspondence_sweep, mll_bare_ratio, us_expectations, us_quantum_state

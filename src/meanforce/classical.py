@@ -355,7 +355,7 @@ def cmf_wk_expectations(params: ModelParams) -> SpinExpectation:
               else 1.0 / math.tanh(x) ** 2 - 1.0 + (lang - 1.0 / x) / x)
     sz = lang + 0.5 * zt * (1.0 + 3.0 * math.cos(2.0 * theta)) * b1
     sx = -zt * math.sin(2.0 * theta) * b2
-    return SpinExpectation(sz=sz, sx=sx, method="cmf_wk")
+    return SpinExpectation(sz=sz, sx=sx)
 
 
 def _us_tanh(params: ModelParams) -> float:
@@ -373,8 +373,7 @@ def us_expectations(params: ModelParams) -> SpinExpectation:
     minus-x alignment of the mean-force distribution."""
     t = _us_tanh(params)
     return SpinExpectation(sz=math.cos(params.theta) * t,
-                           sx=-math.sin(params.theta) * t,
-                           method="us")
+                           sx=-math.sin(params.theta) * t)
 
 
 # ---------------------------------------------------------------------------

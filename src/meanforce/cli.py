@@ -254,8 +254,9 @@ def _model_params(args, q: float, beta: float) -> ModelParams:
 
 
 def _echo_metadata(args) -> dict:
-    # run is the command's function, whose repr holds an address
-    skip = {"command", "run", "config", "output", "cache_dir", "no_cache"}
+    # run is a function (its repr holds an address), trajectory_file a stream
+    skip = {"command", "run", "config", "output", "cache_dir", "no_cache",
+            "trajectory_file"}
     meta = {"command": args.command, "version": __version__}
     for key, val in sorted(vars(args).items()):
         if key in skip or val is None:
@@ -272,11 +273,13 @@ def _add_echo(table: SweepTable, args) -> SweepTable:
     return table
 
 
-def _cached(cache, payload: dict, compute):
-    """The cached value for payload, computed and stored on a miss."""
+def _cached(cache, payload: dict, compute, fresh: bool = False):
+    """The cached value for payload, computed and stored on a miss; fresh
+    computes it whatever the cache holds, as a miss."""
     key = canonical_key(payload)
-    hit = cache.get(key)
-    if hit is not None:
+    if fresh:
+        cache.misses += 1
+    elif (hit := cache.get(key)) is not None:
         return hit
     value = compute()
     cache.put(key, value)
@@ -288,9 +291,10 @@ def _spin_row(e) -> list:
 
 
 def _cell(args, cache, method: str, params: ModelParams,
-          trajectory_path=None) -> list:
+          trajectory=None) -> list:
     """One cached (sz, sx, sz_err, sx_err) cell: a solver's, or at method
-    cdyn a Langevin run's with the command's simulation settings."""
+    cdyn a Langevin run's with the command's simulation settings.  A run
+    that writes a trajectory is always computed: the cache holds no dumps."""
     payload = {
         "command": args.command,
         "method": method,
@@ -310,11 +314,11 @@ def _cell(args, cache, method: str, params: ModelParams,
             for f in dataclasses.fields(SimConfig)
             if getattr(args, f.name, None) is not None})
         payload.update(dataclasses.asdict(cfg))
-        solve = functools.partial(simulate_steady, params, cfg,
-                                  trajectory_path=trajectory_path)
+        solve = functools.partial(simulate_steady, params, cfg, trajectory)
     else:
         solve = functools.partial(SOLVERS[method], params)
-    return _cached(cache, payload, lambda: _spin_row(solve()))
+    return _cached(cache, payload, lambda: _spin_row(solve()),
+                   fresh=trajectory is not None)
 
 
 def _run_sweep(args, cache, axis: str, grid: list) -> SweepTable:
@@ -405,7 +409,7 @@ def _run_dynamics(args, cache) -> SweepTable:
                        metadata=_echo_metadata(args))
     for i, t_half in enumerate(parse_grid(args.t_half)):
         params = _model_params(args, q, beta_from_t_half(t_half, args.omega_l))
-        traj = args.trajectory if i == 0 else None
+        traj = args.trajectory_file if i == 0 else None
         table.append(t_half, *_cell(args, cache, "cdyn", params, traj))
     return table
 
@@ -444,26 +448,33 @@ def run(argv=None) -> int:
         # every cell
         cache = ResultCache(None if getattr(args, "no_cache", True)
                             else default_cache_dir(args.cache_dir))
-        # an unwritable output path fails before any cell is computed, and
-        # a failed run removes the file it created
-        created = bool(args.output) and not os.path.lexists(args.output)
+        # both files are opened before any cell is computed, and a failed
+        # run removes each one it created
+        paths = {"output": args.output,
+                 "trajectory": getattr(args, "trajectory", None)}
+        created = [p for p in paths.values() if p and not os.path.lexists(p)]
         try:
-            out = (open(args.output, "w", newline="") if args.output
-                   else contextlib.nullcontext(sys.stdout))
-        except OSError as exc:
-            raise ConfigError(f"cannot open output file: {exc}")
-        try:
-            with out as fh:
+            with contextlib.ExitStack() as files:
+                opened = dict.fromkeys(paths)
+                for what, path in paths.items():
+                    try:
+                        if path:
+                            opened[what] = files.enter_context(
+                                open(path, "w", newline=""))
+                    except OSError as exc:
+                        raise ConfigError(f"cannot open {what} file: {exc}")
+                args.trajectory_file = opened["trajectory"]
                 table = args.run(args, cache)
                 # wall time and cache stats go to stderr so identical runs
                 # produce byte-identical CSV
                 print("wall time %.3f s, cache hits %d, misses %d"
                       % (time.time() - t_start, cache.hits, cache.misses),
                       file=sys.stderr)
-                fh.write(table.to_csv())
+                (opened["output"] or sys.stdout).write(table.to_csv())
         except BaseException:
-            if created:
-                os.remove(args.output)
+            for path in created:
+                if os.path.lexists(path):
+                    os.remove(path)
             raise
         return 0
     except (ConfigError, ValueError) as exc:

@@ -269,7 +269,7 @@ def _init_ensemble(params: ModelParams, kern: _StepKernel, n_traj: int, rng):
 
 
 def simulate_steady(params: ModelParams, cfg: SimConfig,
-                    trajectory_path=None) -> SpinExpectation:
+                    trajectory=None) -> SpinExpectation:
     """Time-and-ensemble averaged normalized spin after burn-in.
 
     Ensemble members share one vectorized counter-based generator seeded
@@ -281,8 +281,8 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
     members start on the least-energy orientations (see _init_ensemble),
     which the noiseless step leaves fixed, so no step is taken: the result
     is the start's ensemble mean, with standard errors 0.
-    If trajectory_path is given, member 0 is dumped there as CSV rows
-    (t, sx, sy, sz, X, P) at stride intervals.
+    If trajectory, an open text stream, is given, member 0 is written to it
+    as CSV rows (t, sx, sy, sz, X, P) at stride intervals.
     """
     if params.theta <= 0:
         raise ValueError(_THETA_MSG)
@@ -295,7 +295,7 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
     s0 = params.s0
 
     n_samp = max(1, int(round(cfg.t_sample / cfg.dt)))
-    dump = [] if trajectory_path is not None else None
+    dump = [] if trajectory is not None else None
 
     if params.beta == math.inf:
         # no noise acts and every member starts on a fixed point of the
@@ -338,9 +338,7 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
     out_x = float(np.mean(mx))
 
     if dump is not None:
-        rows = "\n".join("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g" % r for r in dump)
-        with open(trajectory_path, "w") as fh:
-            fh.write("t,sx,sy,sz,X,P\n" + rows + "\n")
+        trajectory.write("t,sx,sy,sz,X,P\n" + "".join(
+            "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" % r for r in dump))
 
-    return SpinExpectation(sz=out_z, sx=out_x, sz_err=sz_err, sx_err=sx_err,
-                           method="langevin")
+    return SpinExpectation(sz=out_z, sx=out_x, sz_err=sz_err, sx_err=sx_err)

@@ -20,7 +20,7 @@ import numpy as np
 from .classical import _us_tanh, cl_gibbs_stats, us_expectations
 from .model import (BareQBath, LorentzianBath, ModelParams, _check_positive,
                     alpha_scaling, spin_length)
-from .qspin import gibbs_weights, s_theta, spin_moments, sz_ladder
+from .qspin import gibbs_weights, s_theta, sz_ladder
 from .results import SweepTable
 from .solvers import SOLVERS
 
@@ -36,8 +36,6 @@ __all__ = [
 @dataclass(frozen=True)
 class UsState:
     rho: np.ndarray
-    sz: float
-    sx: float
 
 
 def us_quantum_state(params: ModelParams) -> UsState:
@@ -51,9 +49,7 @@ def us_quantum_state(params: ModelParams) -> UsState:
     p_plus = np.outer(vecs[:, -1], vecs[:, -1])
     p_minus = np.outer(vecs[:, 0], vecs[:, 0])
     t = _us_tanh(params)
-    rho = 0.5 * (p_plus + p_minus + t * (p_plus - p_minus))
-    sz, sx = spin_moments(rho)
-    return UsState(rho=rho, sz=sz / params.s0, sx=sx / params.s0)
+    return UsState(rho=0.5 * (p_plus + p_minus + t * (p_plus - p_minus)))
 
 
 def mll_bare_ratio(beta_prime: float, n: int, omega_l: float = 1.0) -> float:

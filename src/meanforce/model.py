@@ -56,7 +56,9 @@ def _check_omega_l(omega_l: float) -> None:
 
 
 def spin_length(n: int) -> float:
-    """Spin length S0 = n/2 for integer n >= 1 (hbar = 1)."""
+    """Spin length S0 = n/2 for integer n >= 1 (hbar = 1); checks n."""
+    if not (math.isfinite(n) and n == int(n)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return n / 2.0
@@ -160,10 +162,8 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
-        _check_finite(self, "n", "omega_l")
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError("n must be a positive integer")
-        _check_positive(omega_l=self.omega_l)
+        spin_length(self.n)
+        _check_omega_l(self.omega_l)
         if not 0.0 <= self.theta <= math.pi / 2:
             raise ValueError("theta must lie in [0, pi/2]")
         if not self.beta >= 0:
@@ -203,12 +203,13 @@ def t_half_from_beta(beta: float, omega_l: float = 1.0) -> float:
 def beta_from_t_spin(t_spin: float, n: int, omega_l: float = 1.0) -> float:
     """Inverse temperature from t_spin = kB*T/(S0*omega_l)."""
     _check_omega_l(omega_l)
+    s0 = spin_length(n)
     if not 0 <= t_spin < math.inf:
         raise ValueError(
             f"t_spin must be finite and nonnegative, got {t_spin!r}")
     if t_spin == 0.0:
         return math.inf
-    return 1.0 / (t_spin * spin_length(n) * omega_l)
+    return 1.0 / (t_spin * s0 * omega_l)
 
 
 def t_spin_from_beta(beta: float, n: int, omega_l: float = 1.0) -> float:

@@ -182,5 +182,4 @@ def rc_expectations(result: RcResult) -> SpinExpectation:
     """Spin expectations of a reduced state, normalized by S0."""
     s0 = (result.rho.shape[0] - 1) / 2.0
     sz, sx = spin_moments(result.rho)
-    return SpinExpectation(sz=sz / s0, sx=sx / s0, method="rc",
-                           n_rc_used=result.n_used)
+    return SpinExpectation(sz=sz / s0, sx=sx / s0, n_rc_used=result.n_used)

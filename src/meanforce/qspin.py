@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .model import spin_length
 
 __all__ = [
     "sz_ladder",
     "s_theta",
     "spin_moments",
-    "QuGibbsStats",
     "qu_gibbs_stats",
     "gibbs_weights",
     "thermal_state",
@@ -32,8 +32,7 @@ def sz_ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(m, a) for spin S0 = n/2: m_j = S0 - j (j = 0..n), the Sz eigenvalues,
     and a_j = <m_j + 1|S+|m_j> = sqrt(j(n + 1 - j)) (j = 1..n), the ladder
     elements.  Read-only arrays, cached per n."""
-    if n < 1 or n != int(n):
-        raise ValueError("n must be a positive integer")
+    spin_length(n)  # checks n
     j = np.arange(n + 1.0)
     m, a = n / 2.0 - j, np.sqrt(j[1:] * (n + 1.0 - j[1:]))
     m.flags.writeable = a.flags.writeable = False
@@ -59,19 +58,14 @@ def spin_moments(rho: np.ndarray) -> tuple[float, float]:
             math.fsum(a * np.diagonal(rho, 1)))
 
 
-@dataclass(frozen=True)
-class QuGibbsStats:
-    m1: float  # <Sz>
-
-
-def qu_gibbs_stats(beta: float, n: int, omega_l: float) -> QuGibbsStats:
+def qu_gibbs_stats(beta: float, n: int, omega_l: float) -> float:
     """<Sz> for H_S = -omega_l*Sz at inverse temperature beta, from the
     Gibbs weights on the ladder."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     m, _ = sz_ladder(n)
     w = gibbs_weights(-omega_l * m, beta)
-    return QuGibbsStats(m1=math.fsum(w * m) / math.fsum(w))
+    return math.fsum(w * m) / math.fsum(w)
 
 
 def gibbs_weights(evals: np.ndarray, beta: float) -> np.ndarray:

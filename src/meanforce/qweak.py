@@ -271,8 +271,7 @@ def qmf_wk_expectations(params: ModelParams) -> SpinExpectation:
     """
     m, a, d, e, _ = _wk_bands(params)
     s0 = params.s0
-    return SpinExpectation(sz=math.fsum(m * d) / s0, sx=math.fsum(a * e) / s0,
-                           method="qmf_wk")
+    return SpinExpectation(sz=math.fsum(m * d) / s0, sx=math.fsum(a * e) / s0)
 
 
 def qmf_wk_state(params: ModelParams) -> np.ndarray:

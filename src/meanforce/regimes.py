@@ -17,9 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .classical import QuadratureNotConverged
 from .model import (LorentzianBath, ModelParams, _check_positive,
                     alpha_scaling, beta_from_t_half, spin_length,
                     t_half_from_beta)
+from .qrc import RcNotConverged
 from .results import SpinExpectation, SweepTable
 from .solvers import SOLVERS
 
@@ -88,10 +90,9 @@ def _approx_errors(params: ModelParams, flavor: str, approxes,
                    floor: float):
     """The flavor's exact state at params and each named approximation's
     approx_error against it."""
-    try:
-        methods = FLAVORS[flavor]
-    except KeyError:
-        raise ValueError("flavor must be quantum or classical") from None
+    if flavor not in FLAVORS:
+        raise ValueError("flavor must be quantum or classical")
+    methods = FLAVORS[flavor]
     exact = SOLVERS[methods[0]](params)
     return exact, [approx_error(exact, SOLVERS[methods[_APPROX[a]]](params),
                                 floor) for a in approxes]
@@ -115,7 +116,7 @@ def classify_point(params: ModelParams, flavor: str = "quantum",
                        t_half=t_half_from_beta(params.beta, params.omega_l),
                        err_uw=err_uw, err_wk=err_wk, err_us=err_us,
                        label=label, n_rc_used=exact.n_rc_used,
-                       backend=exact.method)
+                       backend=FLAVORS[flavor][0])
 
 
 def _params_at(zeta_val: float, t_half: float, theta: float, n: int,
@@ -183,8 +184,11 @@ def regime_atlas(theta: float, zeta_grid: Sequence[float],
                  floor: float = CLASSIFY_FLOOR,
                  omega_l: float = 1.0, omega_0: float = DEFAULT_OMEGA_0,
                  gamma_w: float = DEFAULT_GAMMA_W) -> SweepTable:
-    """Classify every (zeta, t_half) grid cell; solver failures are recorded
-    in-row with label ERR rather than aborting the sweep."""
+    """Classify every (zeta, t_half) grid cell.  A solver failure (no
+    convergence, or an RC dimension past its limit) is recorded in-row as
+    label ERR:<exception>; any other exception propagates."""
+    if flavor not in FLAVORS:
+        raise ValueError("flavor must be quantum or classical")
     _check_positive(tol=tol, floor=floor)
     table = SweepTable(
         columns=("zeta", "t_half", "err_uw", "err_wk", "err_us", "label",
@@ -198,7 +202,7 @@ def regime_atlas(theta: float, zeta_grid: Sequence[float],
             p = _params_at(zv, tv, theta, n, omega_l, omega_0, gamma_w)
             try:
                 pt = classify_point(p, flavor=flavor, tol=tol, floor=floor)
-            except Exception as exc:  # recorded per-cell, sweep continues
+            except (QuadratureNotConverged, RcNotConverged, ValueError) as exc:
                 table.append(zv, tv, math.nan, math.nan, math.nan,
                              f"ERR:{type(exc).__name__}", 0, "none")
                 continue

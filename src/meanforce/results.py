@@ -16,20 +16,18 @@ class SpinExpectation:
     package, so it is not carried).  sz_err/sx_err are statistical
     or quadrature error estimates where available, otherwise 0.  n_rc_used
     is the oscillator cutoff of a reaction-coordinate solve, otherwise 0.
+    A result's name is the method table's key (solvers.SOLVERS).
     """
 
     sz: float
     sx: float
     sz_err: float = 0.0
     sx_err: float = 0.0
-    method: str = ""
     n_rc_used: int = 0
 
 
 def format_sig(x, digits: int = 12) -> str:
     """Locale-independent rendering with fixed significant digits."""
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, float):
         return f"{x:.{digits}g}"
     return str(x)

@@ -19,18 +19,18 @@ __all__ = ["SOLVERS"]
 
 def _cgibbs(p: ModelParams) -> SpinExpectation:
     m = cl_gibbs_stats(p.beta * p.omega_l * p.s0)
-    return SpinExpectation(sz=m.sz, sx=0.0, method="cgibbs")
+    return SpinExpectation(sz=m.sz, sx=0.0)
 
 
 def _qgibbs(p: ModelParams) -> SpinExpectation:
-    g = qu_gibbs_stats(p.beta, p.n, p.omega_l)
-    return SpinExpectation(sz=g.m1 / p.s0, sx=0.0, method="qgibbs")
+    return SpinExpectation(sz=qu_gibbs_stats(p.beta, p.n, p.omega_l) / p.s0,
+                           sx=0.0)
 
 
 def _cmf(p: ModelParams) -> SpinExpectation:
     m = cmf_expectations(p)
     return SpinExpectation(sz=m.sz, sx=m.sx, sz_err=m.quad_err,
-                           sx_err=m.quad_err, method="cmf")
+                           sx_err=m.quad_err)
 
 
 SOLVERS = {

@@ -481,3 +481,67 @@ def test_regimes_reject_nonpositive_tolerance_and_floor(tmp_path, capsys,
                 "--output", str(tmp_path / "x.csv")]) == 2
     name = "tol" if flag == "--regime-tol" else "floor"
     assert f"{name} must be positive" in capsys.readouterr().err
+
+
+# a three-cell Langevin run on a narrow, slow bath
+_DYNAMICS = ["dynamics", "--zeta", "1", "--t-half", "0.5:2:3", "--omega-0",
+             "1", "--gamma-w", "1", "--t-burn", "1", "--t-sample", "2",
+             "--ensemble", "4"]
+
+
+def test_unwritable_trajectory_exits_2_before_any_step(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setattr(cli, "simulate_steady",
+                        _failing_solver(AssertionError("step taken")))
+    out, traj = tmp_path / "x.csv", tmp_path / "missing" / "t.csv"
+    assert run([*_DYNAMICS, "--no-cache", "--trajectory", str(traj),
+                "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot open trajectory file") and \
+        str(traj) in err
+    # the output file opened before it is removed again
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_warm_cache_rewrites_the_trajectory(tmp_path, capsys):
+    # the cache holds the cell's numbers, not the dump, so the cell that
+    # writes the trajectory is computed again and counts as a miss
+    argv = [*_DYNAMICS, "--cache-dir", str(tmp_path / "cache"),
+            "--trajectory", str(tmp_path / "t.csv"),
+            "--output", str(tmp_path / "x.csv")]
+    assert run(argv) == 0
+    assert "hits 0, misses 3" in capsys.readouterr().err
+    cold = [(tmp_path / f).read_bytes() for f in ("t.csv", "x.csv")]
+    for f in ("t.csv", "x.csv"):
+        (tmp_path / f).unlink()
+    assert run(argv) == 0
+    assert "hits 2, misses 1" in capsys.readouterr().err
+    assert [(tmp_path / f).read_bytes() for f in ("t.csv", "x.csv")] == cold
+    assert cold[0].startswith(b"t,sx,sy,sz,X,P\n") and cold[0].count(b"\n") > 2
+
+
+@pytest.mark.parametrize("failing", ["theta 0", "second cell"])
+def test_failed_dynamics_removes_the_files_it_created(tmp_path, monkeypatch,
+                                                      failing):
+    # a run that fails after opening its files removes those it made, and
+    # leaves one that was there before
+    argv = [*_DYNAMICS, "--no-cache"]
+    if failing == "theta 0":
+        argv += ["--theta", "0"]
+    else:
+        simulate, calls = cli.simulate_steady, []
+
+        def fails_second(*args, **kwargs):
+            if calls:
+                raise ValueError("second cell")
+            calls.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_steady", fails_second)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("before\n")
+    assert run([*argv, "--trajectory", str(tmp_path / "t.csv"),
+                "--output", str(tmp_path / "x.csv")]) == 2
+    assert run([*argv, "--trajectory", str(kept),
+                "--output", str(tmp_path / "x.csv")]) == 2
+    assert list(tmp_path.iterdir()) == [kept]

@@ -155,7 +155,8 @@ def test_trajectory_dump(tmp_path):
     cfg = SimConfig(dt=0.005, t_burn=1.0, t_sample=2.0, stride=10, seed=2,
                     ensemble=4)
     path = tmp_path / "traj.csv"
-    simulate_steady(p, cfg, trajectory_path=str(path))
+    with open(path, "w") as fh:
+        simulate_steady(p, cfg, trajectory=fh)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,sx,sy,sz,X,P"
     assert len(lines) > 10
@@ -212,7 +213,8 @@ def test_trajectory_dump_is_pinned(tmp_path):
     cfg = SimConfig(dt=0.005, t_burn=1.0, t_sample=2.0, stride=10, seed=2,
                     ensemble=4)
     path = tmp_path / "traj.csv"
-    simulate_steady(make_params(zeta_val=1.0), cfg, trajectory_path=str(path))
+    with open(path, "w") as fh:
+        simulate_steady(make_params(zeta_val=1.0), cfg, trajectory=fh)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "cc6825497cc24aa11affef46948cadf37ecb453e72f14cfa68f89d5197cb8c20")
 
@@ -322,7 +324,8 @@ def test_zero_temperature_takes_no_step(tmp_path):
     cfg = SimConfig(dt=0.005, t_burn=1.0, t_sample=2.0, stride=10, seed=3,
                     ensemble=64)
     path = tmp_path / "traj.csv"
-    e = simulate_steady(p, cfg, trajectory_path=str(path))
+    with open(path, "w") as fh:
+        e = simulate_steady(p, cfg, trajectory=fh)
     assert (e.sz_err, e.sx_err) == (0.0, 0.0)
     assert e.sx == pytest.approx(0.0, abs=1e-15)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)

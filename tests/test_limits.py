@@ -13,6 +13,7 @@ from meanforce.limits import (
     us_quantum_state,
 )
 from meanforce.model import LorentzianBath, ModelParams
+from meanforce.qspin import spin_moments
 
 
 def make_params(theta=math.pi / 4, beta=2.0, n=1, omega_l=1.0):
@@ -42,8 +43,9 @@ def test_us_quantum_state_matches_closed_form(n):
     p = make_params(beta=1.5, n=n)
     st = us_quantum_state(p)
     e = us_expectations(p)
-    assert st.sz == pytest.approx(e.sz, abs=1e-12)
-    assert st.sx == pytest.approx(e.sx, abs=1e-12)
+    sz, sx = spin_moments(st.rho)
+    assert sz / p.s0 == pytest.approx(e.sz, abs=1e-12)
+    assert sx / p.s0 == pytest.approx(e.sx, abs=1e-12)
     rho = st.rho
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(rho, rho.conj().T, atol=1e-12)

@@ -21,6 +21,7 @@ from meanforce.model import (
     zeta,
 )
 from meanforce.qrc import rc_mf_state
+from meanforce.qspin import sz_ladder
 from meanforce.qweak import qmf_wk_expectations
 
 
@@ -30,6 +31,20 @@ def test_spin_length():
     assert spin_length(100) == 50.0
     with pytest.raises(ValueError):
         spin_length(0)
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -math.inf])
+def test_spin_size_must_be_an_integer(n):
+    # spin_length is the one check of n: ModelParams, the Sz ladder and the
+    # unit conversions all reject what it rejects, naming n
+    bath = LorentzianBath.from_q(1.0, 7.0, 5.0)
+    for check in (lambda: spin_length(n),
+                  lambda: beta_from_t_spin(1.0, n),
+                  lambda: sz_ladder(n),
+                  lambda: ModelParams(n=n, omega_l=1.0, theta=0.1, bath=bath,
+                                      beta=1.0)):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            check()
 
 
 def test_lorentzian_q_closed_form():
@@ -118,6 +133,17 @@ def test_model_params_validation():
     # beta = 0 and beta = inf are both legal
     ModelParams(n=1, omega_l=1.0, theta=0.1, bath=bath, beta=0.0)
     ModelParams(n=1, omega_l=1.0, theta=0.1, bath=bath, beta=math.inf)
+
+
+@pytest.mark.parametrize("omega_l", [0.0, -1.0, math.inf, math.nan])
+def test_model_params_check_omega_l_as_the_conversions_do(omega_l):
+    bath = LorentzianBath.from_q(1.0, 7.0, 5.0)
+    for check in (lambda: beta_from_t_half(1.0, omega_l),
+                  lambda: ModelParams(n=1, omega_l=omega_l, theta=0.1,
+                                      bath=bath, beta=1.0)):
+        with pytest.raises(ValueError,
+                           match="^omega_l must be finite and positive"):
+            check()
 
 
 def test_model_params_derived_quantities():

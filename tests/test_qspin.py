@@ -92,7 +92,7 @@ def test_spin_moments_match_dense_traces(n):
 def test_gibbs_stats_spin_half_closed_form():
     beta, wl = 1.3, 1.0
     g = qu_gibbs_stats(beta, 1, wl)
-    assert g.m1 == pytest.approx(0.5 * math.tanh(0.5 * beta * wl), rel=1e-12)
+    assert g == pytest.approx(0.5 * math.tanh(0.5 * beta * wl), rel=1e-12)
     assert bare_z(beta, 1, wl) == pytest.approx(2.0 * math.cosh(0.5 * beta * wl),
                                          rel=1e-12)
 
@@ -106,15 +106,15 @@ def test_gibbs_stats_match_diagonal_sums(beta, n):
     m = s0 - np.arange(n + 1)
     w = np.exp(beta * wl * (m - s0))
     z = w.sum()
-    assert g.m1 == pytest.approx(float((w * m).sum() / z), abs=1e-10 * s0)
+    assert g == pytest.approx(float((w * m).sum() / z), abs=1e-10 * s0)
 
 
 def test_gibbs_stats_limits():
     g0 = qu_gibbs_stats(0.0, 4, 1.0)
-    assert g0.m1 == 0.0
+    assert g0 == 0.0
     assert bare_z(0.0, 4, 1.0) == 5.0
     ginf = qu_gibbs_stats(math.inf, 4, 1.0)
-    assert ginf.m1 == 2.0
+    assert ginf == 2.0
     with pytest.raises(ValueError):
         qu_gibbs_stats(-1.0, 1, 1.0)
 

@@ -115,6 +115,23 @@ def test_atlas_records_cell_failures_in_row():
     assert table.rows[0][5].startswith("ERR:")
 
 
+def test_atlas_names_the_exact_solver_and_propagates_bugs(monkeypatch):
+    table = regime_atlas(math.pi / 4, [1e-3], [1.0], flavor="quantum")
+    assert table.rows[0][5] == "UW" and table.rows[0][7] == "qmf-rc"
+
+    # only solver failures become ERR rows; a misspelt flavor is the
+    # caller's error and any other exception is a bug
+    with pytest.raises(ValueError, match="flavor"):
+        regime_atlas(math.pi / 4, [1e-3], [1.0], flavor="quantun")
+
+    def broken(params):
+        raise TypeError("a bug")
+
+    monkeypatch.setitem(SOLVERS, "qmf-wk", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        regime_atlas(math.pi / 4, [1e-3], [1.0], flavor="quantum")
+
+
 @pytest.mark.parametrize("flavor", sorted(FLAVORS))
 def test_flavor_solvers_at_edge_values(flavor):
     exact, gibbs, wk, _ = FLAVORS[flavor]
