@@ -1,8 +1,8 @@
 """Classical spin equilibrium states.
 
 Exact classical mean-force (CMF) expectation values at arbitrary coupling via
-a one-dimensional integral over the collective bath coordinate (and a 1D
-root search at T = 0), classical Gibbs closed forms, weak and ultrastrong
+a one-dimensional integral over the collective bath coordinate (and one
+monotone root at T = 0), classical Gibbs closed forms, weak and ultrastrong
 closed forms, and a Monte-Carlo sampling oracle.
 
 The effective spin Hamiltonian after tracing out the reservoir is
@@ -243,49 +243,34 @@ def _coupling_cos(theta: float) -> float:
 def _zero_temperature_maxima(theta: float, zeta: float) -> list[float]:
     """Angles psi of the global maxima of -H_eff, the T = 0 orientations.
 
-    The maxima lie in the x-z plane, s = (sin psi, 0, cos psi), where
-    -H_eff / (omega_l S0) = g(psi) = cos psi + zeta cos^2(psi + theta).
-    Each maximum is bracketed by a + to - sign change of g' on a grid and
-    polished as a root of g' by Newton's method, which resolves psi to
-    rounding; maximising g itself resolves only sqrt(eps).  Maxima within
-    1e-9 of the range of g of the best are all kept.
+    In the x-z plane, s = (sin psi, cos psi) maximises s.z + zeta (s.e)^2
+    on the unit circle, e = (-sin theta, cos theta): a trust-region problem,
+    solved by (mu - zeta e e^T) s = z/2 with mu >= zeta (More & Sorensen
+    1983).  With f = (cos theta, sin theta) and t = mu - zeta, that is
+    s = (c/2t) e + (sin theta / 2(zeta + t)) f.  For c = cos theta != 0,
+    |s|^2 - 1 falls monotonically from >= 0 to <= 0 on [|c|/2, 1/2]; its
+    one root, bisected to adjacent floats, is the unique maximum.  At c = 0,
+    s = z (psi = 0) for zeta <= 1/2, else t = 0 and the pair s.z = 1/(2 zeta).
     """
-    c, s = _coupling_cos(theta), math.sin(theta)
+    c, sin_t = _coupling_cos(theta), math.sin(theta)
+    if c == 0.0:
+        if zeta <= 0.5:
+            return [0.0]
+        psi = math.acos(0.5 / zeta)
+        return [-psi, psi]
 
-    def shape(p):
-        """g and its first two derivatives, on arrays or scalars."""
-        a = c * np.cos(p) - s * np.sin(p)   # cos(p + theta)
-        b = c * np.sin(p) + s * np.cos(p)   # sin(p + theta)
-        return (np.cos(p) + zeta * a * a, -np.sin(p) - 2.0 * zeta * a * b,
-                -np.cos(p) - 2.0 * zeta * (a * a - b * b))
+    def frame(t):  # (s.e, s.f)
+        return c / (2.0 * t), sin_t / (2.0 * (zeta + t))
 
-    # psi = 0 is a grid point, where g' vanishes exactly at theta = 0, pi/2
-    step = 2.0 * math.pi / 1440
-    psi = np.arange(-720, 720) * step
-    gvals, gp, _ = shape(psi)
-    gp_next = np.roll(gp, -1)
-    roots = []
-    for i in np.flatnonzero((gp > 0.0) & (gp_next <= 0.0)):
-        lo, hi = float(psi[i]), float(psi[i]) + step
-        x = lo if abs(gp[i]) < abs(gp_next[i]) else hi
-        for _ in range(100):
-            _, d1, d2 = shape(x)
-            if d1 == 0.0:
-                break
-            if d1 > 0.0:
-                lo = x
-            else:
-                hi = x
-            # Newton, or bisection where Newton leaves the bracket
-            x, last = x - d1 / d2, x
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-            if abs(x - last) < 1e-15:
-                break
-        roots.append((float(shape(x)[0]), float(x)))
-    best = max(val for val, _ in roots)
-    span = float(gvals.max() - gvals.min()) or 1.0
-    return [x for val, x in roots if val >= best - 1e-9 * span]
+    lo, hi = 0.5 * abs(c), 0.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        a, b = frame(mid)
+        if a * a + b * b > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    a, b = frame(hi)
+    return [math.atan2(b * c - a * sin_t, a * c + b * sin_t)]
 
 
 def _cmf_zero_temperature(theta: float, zeta: float) -> ClassicalMoments:
@@ -305,8 +290,8 @@ def cmf_expectations(params: ModelParams, tol: float = 1e-10) -> ClassicalMoment
     coordinate y, done by composite Gauss-Legendre quadrature.  quad_err is
     the difference between two orders; above tol QuadratureNotConverged is
     raised.  Valid for any Q >= 0 and any beta including 0 and inf; at
-    beta = inf the average over the orientations of least energy is
-    returned instead.
+    beta = inf the orientation of least energy is returned instead (the
+    mirror pair's average at transverse coupling with zeta > 1/2).
     """
     theta = params.theta
     if math.isinf(params.beta):

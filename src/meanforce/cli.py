@@ -16,9 +16,9 @@ exception propagates.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
+import io
 import math
 import os
 import re
@@ -354,12 +354,12 @@ def _run_sweep_coupling(args, cache) -> SweepTable:
 
 def _run_regimes(args, cache) -> SweepTable:
     t_grid = parse_grid(args.t_half)
+    model = {"flavor": args.flavor, "n": args.n, "omega_l": args.omega_l,
+             "omega_0": args.omega_0, "gamma_w": args.gamma_w,
+             "tol": args.regime_tol, "floor": args.floor}
     if args.zeta_grid:
         table = regime_atlas(args.theta_rad, parse_grid(args.zeta_grid),
-                             t_grid, flavor=args.flavor, n=args.n,
-                             tol=args.regime_tol, floor=args.floor,
-                             omega_l=args.omega_l, omega_0=args.omega_0,
-                             gamma_w=args.gamma_w)
+                             t_grid, **model)
         return _add_echo(table, args)
     table = SweepTable(
         columns=("t_half", "zeta_uw_wk", "zeta_wk_im", "zeta_im_us"),
@@ -367,15 +367,10 @@ def _run_regimes(args, cache) -> SweepTable:
 
     def boundary(t_half, approx):
         payload = {"command": "regimes", "version": __version__,
-                   "approx": approx, "flavor": args.flavor, "n": args.n,
-                   "theta": args.theta_rad, "t_half": t_half,
-                   "omega_l": args.omega_l, "omega_0": args.omega_0,
-                   "gamma_w": args.gamma_w, "tol": args.regime_tol,
-                   "floor": args.floor}
+                   "approx": approx, "theta": args.theta_rad,
+                   "t_half": t_half, **model}
         return _cached(cache, payload, lambda: find_boundary(
-            t_half, args.theta_rad, approx, flavor=args.flavor,
-            tol=args.regime_tol, n=args.n, omega_l=args.omega_l,
-            omega_0=args.omega_0, gamma_w=args.gamma_w, floor=args.floor))
+            t_half, args.theta_rad, approx, **model))
 
     for t_half in t_grid:
         table.append(t_half, boundary(t_half, "UW"), boundary(t_half, "WK"),
@@ -448,29 +443,37 @@ def run(argv=None) -> int:
         # every cell
         cache = ResultCache(None if getattr(args, "no_cache", True)
                             else default_cache_dir(args.cache_dir))
-        # both files are opened before any cell is computed, and a failed
-        # run removes each one it created
-        paths = {"output": args.output,
-                 "trajectory": getattr(args, "trajectory", None)}
-        created = [p for p in paths.values() if p and not os.path.lexists(p)]
+        # both files are opened, not truncated, before any cell is computed
+        # and written whole once every cell has succeeded (the trajectory
+        # dump waits in memory); a failed run removes each file it created
+        # and leaves the others as they were
+        paths = {what: path for what, path in (
+            ("output", args.output),
+            ("trajectory", getattr(args, "trajectory", None))) if path}
+        created = [p for p in paths.values() if not os.path.lexists(p)]
         try:
-            with contextlib.ExitStack() as files:
-                opened = dict.fromkeys(paths)
-                for what, path in paths.items():
-                    try:
-                        if path:
-                            opened[what] = files.enter_context(
-                                open(path, "w", newline=""))
-                    except OSError as exc:
-                        raise ConfigError(f"cannot open {what} file: {exc}")
-                args.trajectory_file = opened["trajectory"]
-                table = args.run(args, cache)
-                # wall time and cache stats go to stderr so identical runs
-                # produce byte-identical CSV
-                print("wall time %.3f s, cache hits %d, misses %d"
-                      % (time.time() - t_start, cache.hits, cache.misses),
-                      file=sys.stderr)
-                (opened["output"] or sys.stdout).write(table.to_csv())
+            for what, path in paths.items():
+                try:
+                    open(path, "a").close()
+                except OSError as exc:
+                    raise ConfigError(f"cannot open {what} file: {exc}")
+            dump = io.StringIO() if "trajectory" in paths else None
+            args.trajectory_file = dump
+            table = args.run(args, cache)
+            # wall time and cache stats go to stderr so identical runs
+            # produce byte-identical CSV
+            print("wall time %.3f s, cache hits %d, misses %d"
+                  % (time.time() - t_start, cache.hits, cache.misses),
+                  file=sys.stderr)
+            texts = {"output": table.to_csv(),
+                     "trajectory": dump.getvalue() if dump else ""}
+            # opened again by path rather than truncated through a kept
+            # handle: truncate() fails on /dev/null
+            for what, path in paths.items():
+                with open(path, "w", newline="") as fh:
+                    fh.write(texts[what])
+            if "output" not in paths:
+                sys.stdout.write(texts["output"])
         except BaseException:
             for path in created:
                 if os.path.lexists(path):

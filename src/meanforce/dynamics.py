@@ -225,8 +225,10 @@ def _init_ensemble(params: ModelParams, kern: _StepKernel, n_traj: int, rng):
     spin, centered on -c*s_theta/omega_0^2 with variance kBT/omega_0^2.
 
     At T = 0 member k starts on the (k mod m)-th of the m global maxima of
-    -H_eff, with X at its conditional mean and P = 0.  Without noise each
-    stays there, so when m divides the ensemble the average is cmf's.
+    -H_eff, with X at its conditional mean and P = 0: m = 1, except at
+    transverse coupling with zeta > 1/2, where the symmetric pair gives
+    m = 2.  Without noise each stays there, so when m divides the ensemble
+    the average is cmf's.
     """
     s0 = params.s0
     if params.beta == math.inf:

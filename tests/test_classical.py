@@ -3,6 +3,7 @@ weak and ultrastrong limits, and the Monte-Carlo oracle."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from meanforce.classical import (
     QuadratureNotConverged,
     SphericalPoint,
+    _zero_temperature_maxima,
     cl_gibbs_stats,
     cmf_expectations,
     cmf_logweight,
@@ -206,6 +208,41 @@ def test_cmf_zero_temperature_transverse_special_points(zeta_val, sz):
                                      beta=math.inf))
     assert m.sz == pytest.approx(sz, abs=1e-12)
     assert m.sx == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-9])
+def test_cmf_zero_temperature_near_transverse_has_one_maximum(gap):
+    # just below pi/2 the mirror maxima of zeta = 2 differ in energy by about
+    # 2 gap: only the one at sx < 0 is the state, not their average
+    mp = pytest.importorskip("mpmath")
+    theta = math.pi / 2 - gap
+    assert len(_zero_temperature_maxima(theta, 2.0)) == 1
+    sz, sx = _zero_temperature_reference(mp.mpf(theta), 2.0)
+    m = cmf_expectations(make_params(theta=theta, zeta_val=2.0,
+                                     beta=math.inf))
+    assert sx < -0.96
+    assert m.sz == pytest.approx(sz, abs=1e-12)
+    assert m.sx == pytest.approx(sx, abs=1e-12)
+
+
+def test_cmf_zero_temperature_near_flat_maximum_is_warning_free():
+    # zeta = 1/2 just below pi/2: g'' vanishes at the maximum to within
+    # the gap, which no step of the solve may divide by.  The one maximum
+    # is the sign change of g' in [-0.01, 0], bisected in mpmath (the
+    # secant-type roots of the reference above stall on this flat g')
+    mp = pytest.importorskip("mpmath")
+    theta = math.pi / 2 - 1.5e-11
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m = cmf_expectations(make_params(theta=theta, zeta_val=0.5,
+                                         beta=math.inf))
+    with mp.workdps(50):
+        th = mp.mpf(theta)
+        psi = mp.findroot(lambda p: -mp.sin(p) - mp.sin(2 * (p + th)) / 2,
+                          (mp.mpf(-0.01), mp.mpf(0)), solver="bisect")
+        sz, sx = float(mp.cos(psi)), float(mp.sin(psi))
+    assert m.sz == pytest.approx(sz, abs=1e-12)
+    assert m.sx == pytest.approx(sx, abs=1e-12)
 
 
 def test_cmf_edge_values():

@@ -520,6 +520,25 @@ def test_warm_cache_rewrites_the_trajectory(tmp_path, capsys):
     assert cold[0].startswith(b"t,sx,sy,sz,X,P\n") and cold[0].count(b"\n") > 2
 
 
+def test_failed_run_keeps_the_contents_of_an_output_file(tmp_path):
+    # theta = 0 fails in the first cell: the file that was there is left
+    # as it was, not emptied
+    kept = tmp_path / "keep.csv"
+    kept.write_text("precious\n")
+    assert run(["dynamics", "--zeta", "1", "--t-half", "1", "--theta", "0",
+                "--no-cache", "-o", str(kept)]) == 2
+    assert kept.read_text() == "precious\n"
+
+
+def test_failed_run_keeps_the_contents_of_a_trajectory_file(tmp_path):
+    # a time step past the rate bound fails in the first cell
+    kept = tmp_path / "t.csv"
+    kept.write_text("precious\n")
+    assert run([*_DYNAMICS, "--no-cache", "--dt", "1",
+                "--trajectory", str(kept)]) == 2
+    assert kept.read_text() == "precious\n"
+
+
 @pytest.mark.parametrize("failing", ["theta 0", "second cell"])
 def test_failed_dynamics_removes_the_files_it_created(tmp_path, monkeypatch,
                                                       failing):

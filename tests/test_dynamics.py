@@ -299,6 +299,19 @@ def test_zero_temperature_matches_cmf(theta, n):
     assert e.sx == pytest.approx(ref.sx, abs=1e-12)
 
 
+def test_zero_temperature_near_transverse_starts_on_the_one_maximum():
+    # 1e-10 below pi/2 the mirror maxima of zeta = 2 are no longer a tie:
+    # every member starts on the lower-energy one, so even an odd ensemble
+    # gives cmf's state
+    p = make_params(zeta_val=2.0, theta=math.pi / 2 - 1e-10, beta=math.inf)
+    cfg = SimConfig(dt=0.005, t_burn=1.0, t_sample=2.0, seed=3, ensemble=7)
+    e = simulate_steady(p, cfg)
+    ref = cmf_expectations(p)
+    assert ref.sx < -0.96
+    assert e.sz == pytest.approx(ref.sz, abs=1e-12)
+    assert e.sx == pytest.approx(ref.sx, abs=1e-12)
+
+
 @pytest.mark.parametrize("zeta_val", [0.3, 2.0, 50.0])
 @pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 4, 1.2])
 @pytest.mark.parametrize("n", [1, 3])
