@@ -57,6 +57,8 @@ def parse_angle(text: str) -> float:
     if m:
         num = int(m.group(1)) if m.group(1) else 1
         den = int(m.group(2)) if m.group(2) else 1
+        if den == 0:
+            raise ConfigError(f"angle {text!r} divides by zero")
         return num * math.pi / den
     try:
         return float(text)
@@ -69,6 +71,14 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """int(text), rejecting values below 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -209,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
                 _add_spin_args, _add_coupling_args)
     p.add_argument("--t-spin", type=finite_float, default=1.0,
                    help="kBT in units of S0 omega_l")
-    p.add_argument("--v-count", type=int, default=61)
-    p.add_argument("--phi-count", type=int, default=121)
+    p.add_argument("--v-count", type=positive_int, default=61)
+    p.add_argument("--phi-count", type=positive_int, default=121)
 
     p = command("dynamics", _run_dynamics, "Langevin steady state vs temperature",
                 _add_cache_args, _add_cell_args, _add_spin_args,
@@ -414,7 +424,11 @@ def _run_correspondence(args, cache) -> SweepTable:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--n-list must be comma-separated integers")
-    beta_prime = [1.0 / t for t in parse_grid(args.t_spin)]
+    t_grid = parse_grid(args.t_spin)
+    if min(t_grid) < 0:
+        raise ConfigError(f"--t-spin must be nonnegative, got {args.t_spin!r}")
+    # t_spin = 0 is T = 0
+    beta_prime = [math.inf if t == 0 else 1.0 / t for t in t_grid]
     table = correspondence_sweep(args.alpha, args.theta_rad, beta_prime,
                                  n_list=n_list, method=args.method,
                                  omega_l=args.omega_l, omega_0=args.omega_0,

@@ -16,13 +16,15 @@ r_p = Res_p J/(p - omega) (Tanimura, J. Phys. Soc. Jpn. 75, 082001 (2006)),
 and A = Re[-sum_p r_p log(-p)] - J(omega) log|omega| at beta = inf.  Every
 digamma argument has positive real part, so nothing overflows and a pole on
 a Matsubara frequency is harmless.  A' is the same sum differentiated in
-omega.  The tests check both against quadrature and mpmath.
+omega.  The pole factors do not depend on omega, so one call evaluates
+them once and builds A and A' at every omega it is given from them; no
+value is kept between calls.  The tests check both against quadrature and
+mpmath.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -93,31 +95,25 @@ def _log_and_reciprocal(z: complex) -> tuple[complex, complex]:
     return cmath.log(z), 1.0 / z
 
 
-def _pole_maps(beta: float):
-    """(fns, upper, lower): fns(z) gives F(z) and F'(z), F = psi at
-    beta < inf and log at beta = inf; upper and lower are the (const, z0,
-    dz) of the pole factors const - F(z0 + dz p)."""
-    if math.isinf(beta):
-        return _log_and_reciprocal, (0.0, 0.0, -1.0), (0.0, 0.0, -1.0)
-    c = beta / (2.0 * math.pi)
-    return _polygammas, (1j * math.pi, 0.0, -1j * c), (0.0, 1.0, 1j * c)
-
-
-@functools.lru_cache(maxsize=64)
-def _pole_factors(omega_0: float, gamma_w: float, beta: float):
-    """Numerators on the two pole pairs m +- delta, m = +-i Gamma/2.
-
-    Returns (merged, delta, upper, lower), each pair a tuple of nodes
-    (p, f(p), f'(p)) with f = const - F(z0 + dz p).  They do not depend on
-    omega, k or the bath amplitude, so the four integrals of bath_combos
-    and the couplings of a regime scan share one evaluation of F.
-    Near critical damping the pair merges into a double pole (merged) and
-    its nodes are the 8 Gauss-Legendre points of the segment; otherwise
-    they are m + delta and m - delta.
+def _bath_integrals(bath: LorentzianBath, beta: float, omegas, prime=True):
+    """[(A_beta(omega), A'_beta(omega)) for omega in omegas], omega != 0;
+    (A_beta(omega),) if not prime: A' squares J's denominator, which
+    overflows from |omega| ~ 1e38.  F = psi (log at beta = inf) is evaluated
+    once per pole node p, as f(p) = const - F(z0 + dz p), and once per
+    omega, as x = F(z0 + dz omega) on the lower map; the residues carry
+    1/(p - omega)^k, k = 1 for A and 2 for A', and the omega term is -J x
+    for A and -(J' x + J x') for A'.  The nodes are m +- delta on the pole
+    pairs m = +-i Gamma/2, or the 8 Gauss-Legendre points of the segment
+    near critical damping, where the pair merges into a double pole.
     """
-    delta = cmath.sqrt((omega_0 - 0.5 * gamma_w) * (omega_0 + 0.5 * gamma_w))
-    fns, upper, lower = _pole_maps(beta)
-    merged = abs(delta) < 0.125 * gamma_w
+    w0, g = bath.omega_0, bath.gamma_w
+    if math.isinf(beta):
+        fns, upper, lower = _log_and_reciprocal, (0.0, 0.0, -1.0), (0.0, 0.0, -1.0)
+    else:
+        c = beta / (2.0 * math.pi)
+        fns, upper, lower = _polygammas, (1j * math.pi, 0.0, -1j * c), (0.0, 1.0, 1j * c)
+    delta = cmath.sqrt((w0 - 0.5 * g) * (w0 + 0.5 * g))
+    merged = abs(delta) < 0.125 * g
     ts = _GL_T if merged else (1.0, -1.0)
 
     def nodes(m, const, z0, dz):
@@ -126,26 +122,11 @@ def _pole_factors(omega_0: float, gamma_w: float, beta: float):
             p = m + delta * t
             f, df = fns(z0 + dz * p)
             out.append((p, const - f, -dz * df))
-        return tuple(out)
+        return out
 
-    return (merged, delta, nodes(0.5j * gamma_w, *upper),
-            nodes(-0.5j * gamma_w, *lower))
+    up, lo = nodes(0.5j * g, *upper), nodes(-0.5j * g, *lower)
 
-
-def _a_closed(bath: LorentzianBath, beta: float, omega: float, k: int) -> float:
-    """A_beta(omega) for k = 1 and A'_beta(omega) for k = 2, omega != 0.
-
-    Each pole factor is f(p) = const - F(z0 + dz p), F = psi (log at
-    beta = inf); the residues carry 1/(p - omega)^k.  The omega term is
-    -J x for k = 1 and -(J' x + J x') for k = 2, x = F at the lower-pole
-    map of omega.  The pole factors come from _pole_factors, so a call
-    that shares omega_0, Gamma and beta with an earlier one evaluates F
-    only at that map.
-    """
-    w0, g = bath.omega_0, bath.gamma_w
-    merged, delta, upper, lower = _pole_factors(w0, g, beta)
-
-    def pair(nodes):
+    def pair(nodes, omega, k):
         # Residue sum over a pole pair: the divided difference
         # (h(m + delta) - h(m - delta)) / 2 delta, h = f(p) / (p - omega)^k.
         # Near critical damping the quotient cancels; there it is the mean
@@ -161,24 +142,28 @@ def _a_closed(bath: LorentzianBath, beta: float, omega: float, k: int) -> float:
             total += wt * (df - k * f * u) * u**k
         return 0.5 * total
 
-    poles = pair(upper) - pair(lower)
-    fns, _, (_, z0, dz) = _pole_maps(beta)
-    x, dx = fns(z0 + dz * omega)
-    den = (w0 * w0 - omega * omega) ** 2 + (g * omega) ** 2
+    _, z0, dz = lower
     amp = bath.a_lor * g / math.pi
-    j = amp * omega / den
-    if k == 1:
-        tail = j * x
-    else:
-        dden = 2.0 * omega * (g * g - 2.0 * (w0 * w0 - omega * omega))
-        tail = amp * (den - omega * dden) / den**2 * x + j * dz * dx
-    return float((bath.a_lor / (2j * math.pi) * poles - tail).real)
+    out = []
+    for omega in omegas:
+        x, dx = fns(z0 + dz * omega)
+        den = (w0 * w0 - omega * omega) ** 2 + (g * omega) ** 2
+        j = amp * omega / den
+        tails = [j * x]
+        if prime:
+            dden = 2.0 * omega * (g * g - 2.0 * (w0 * w0 - omega * omega))
+            tails.append(amp * (den - omega * dden) / den**2 * x + j * dz * dx)
+        out.append(tuple(
+            float((bath.a_lor / (2j * math.pi) * (pair(up, omega, k) - pair(lo, omega, k))
+                   - tail).real)
+            for k, tail in enumerate(tails, 1)))
+    return out
 
 
 def bath_a(bath: LorentzianBath, beta: float, omega_n: float) -> float:
     """Principal-value integral
     A_beta(wn) = PV int_0^inf J(w)[(n(w)+1)/(w-wn) - n(w)/(w+wn)] dw,
-    evaluated in closed form (see the module docstring).
+    evaluated in closed form (see the module docstring).  A' is not formed.
 
     wn = 0 returns Q exactly; beta = inf drops the occupation terms.
     """
@@ -186,21 +171,20 @@ def bath_a(bath: LorentzianBath, beta: float, omega_n: float) -> float:
     _check_positive(beta=beta)  # A_beta diverges at beta = 0
     if omega_n == 0.0:
         return bath.q
-    return _a_closed(bath, beta, omega_n, 1)
+    return _bath_integrals(bath, beta, (omega_n,), prime=False)[0][0]
 
 
 def bath_combos(bath: LorentzianBath, beta: float, omega_l: float) -> BathIntegrals:
     """Symmetric/antisymmetric combinations of A_beta and its derivative
-    evaluated at the spin gap omega_l.
+    evaluated at the spin gap omega_l != 0.
 
-    The derivatives A'(+-omega_l) = dA_beta/domega at +-omega_l come from
-    the closed form differentiated analytically; the squared-denominator
-    kernels are never integrated.
+    One pass of the closed form gives A and A' = dA_beta/domega at
+    +-omega_l: each pole factor is evaluated once per call, and the
+    squared-denominator kernels are never integrated.
     """
-    ap = bath_a(bath, beta, omega_l)
-    am = bath_a(bath, beta, -omega_l)
-    app = _a_closed(bath, beta, omega_l, 2)
-    apm = _a_closed(bath, beta, -omega_l, 2)
+    lorentzian_bath(bath, "bath_combos")
+    _check_positive(beta=beta)  # A_beta diverges at beta = 0
+    (ap, app), (am, apm) = _bath_integrals(bath, beta, (omega_l, -omega_l))
     return BathIntegrals(
         a_plus=ap,
         a_minus=am,

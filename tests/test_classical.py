@@ -164,7 +164,13 @@ def test_cmf_zero_temperature_degenerate_pair():
 def _zero_temperature_reference(theta, zeta):
     """(sz, sx) at T = 0 from the 40-digit roots of
     g'(psi) = -sin(psi) - zeta sin(2 (psi + theta)), averaged over the
-    global maxima of g(psi) = cos(psi) + zeta cos^2(psi + theta)."""
+    global maxima of g(psi) = cos(psi) + zeta cos^2(psi + theta).
+
+    Each sign change of g' from + to - on a grid of step pi/1000 holds one
+    maximum: a grid node where g' is exactly 0 is the root, and any other
+    bracket is bisected, which needs no g'' and so holds where g is flat
+    (secant-type solvers stall there, and bisection fails on a zero end).
+    """
     mp = pytest.importorskip("mpmath")
     zeta = mp.mpf(zeta)
 
@@ -177,7 +183,8 @@ def _zero_temperature_reference(theta, zeta):
     with mp.workdps(40):
         grid = [mp.pi * (k - 1000) / 1000 for k in range(2001)]
         signs = [dg(p) for p in grid]
-        roots = [mp.findroot(dg, (grid[k], grid[k + 1]), solver="anderson")
+        roots = [grid[k + 1] if signs[k + 1] == 0
+                 else mp.findroot(dg, (grid[k], grid[k + 1]), solver="bisect")
                  for k in range(2000) if signs[k] > 0 >= signs[k + 1]]
         best = max(g(p) for p in roots)
         kept = [p for p in roots if g(p) > best - mp.mpf(10) ** -30]
@@ -227,20 +234,14 @@ def test_cmf_zero_temperature_near_transverse_has_one_maximum(gap):
 
 def test_cmf_zero_temperature_near_flat_maximum_is_warning_free():
     # zeta = 1/2 just below pi/2: g'' vanishes at the maximum to within
-    # the gap, which no step of the solve may divide by.  The one maximum
-    # is the sign change of g' in [-0.01, 0], bisected in mpmath (the
-    # secant-type roots of the reference above stall on this flat g')
+    # the gap, which no step of the solve may divide by
     mp = pytest.importorskip("mpmath")
     theta = math.pi / 2 - 1.5e-11
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         m = cmf_expectations(make_params(theta=theta, zeta_val=0.5,
                                          beta=math.inf))
-    with mp.workdps(50):
-        th = mp.mpf(theta)
-        psi = mp.findroot(lambda p: -mp.sin(p) - mp.sin(2 * (p + th)) / 2,
-                          (mp.mpf(-0.01), mp.mpf(0)), solver="bisect")
-        sz, sx = float(mp.cos(psi)), float(mp.sin(psi))
+    sz, sx = _zero_temperature_reference(mp.mpf(theta), 0.5)
     assert m.sz == pytest.approx(sz, abs=1e-12)
     assert m.sx == pytest.approx(sx, abs=1e-12)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ def test_parse_angle():
     assert parse_angle("0.7853") == pytest.approx(0.7853)
     with pytest.raises(ConfigError):
         parse_angle("quarter-turn")
+
+
+def test_angle_over_zero_is_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="pi/0"):
+        parse_angle("pi/0")
+    assert run(sweep_args(tmp_path, extra=("--no-cache", "--theta", "pi/0"))) == 2
+    assert "'pi/0'" in capsys.readouterr().err
 
 
 def test_parse_grid():
@@ -372,6 +380,16 @@ def test_density_map_rejects_zero_temperature(tmp_path):
                 "--t-spin", "0", "--output", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--v-count", "--phi-count"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_density_map_counts_below_one_exit_2(tmp_path, capsys, flag, value):
+    # 0 gave a table with no rows, and -3 numpy's message naming no flag
+    assert run(["density-map", "--t-spin", "1", flag, value,
+                "--output", str(tmp_path / "x.csv")]) == 2
+    assert f"{flag}: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_coupling_runs(tmp_path):
     out = tmp_path / "z.csv"
     assert run(["sweep-coupling", "--methods", "cmf-wk,cmf-us",
@@ -414,6 +432,31 @@ def test_correspondence_command(tmp_path):
              if not ln.startswith("#")]
     assert lines[0] == "n,beta_prime,sz,sx"
     assert len(lines) == 1 + 3 * 2
+
+
+def _correspondence_rows(tmp_path, t_spin):
+    out = tmp_path / "corr.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["correspondence", "--t-spin", t_spin, "--n-list", "1,2",
+                    "--output", str(out)]) == 0
+    return [ln for ln in out.read_text().split("\n")[:-1]
+            if not ln.startswith("#")][1:]
+
+
+def test_correspondence_t_spin_zero_is_zero_temperature(tmp_path):
+    # beta' = inf, with no division by zero; a grid from 0 gives the same rows
+    rows = _correspondence_rows(tmp_path, "0")
+    assert [r.split(",")[:2] for r in rows] == [["0", "inf"], ["1", "inf"],
+                                                ["2", "inf"]]
+    grid = _correspondence_rows(tmp_path, "0:1:3")
+    assert [r for r in grid if ",inf," in r] == rows
+
+
+@pytest.mark.parametrize("t_spin", ["-1", "-1:1:3"])
+def test_correspondence_rejects_negative_t_spin(tmp_path, capsys, t_spin):
+    assert run(["correspondence", f"--t-spin={t_spin}", "--n-list", "1"]) == 2
+    assert "--t-spin must be nonnegative" in capsys.readouterr().err
 
 
 def test_correspondence_keeps_the_tables_theta(tmp_path):
