@@ -171,7 +171,9 @@ def _add_coupling_args(p: argparse.ArgumentParser) -> None:
                    help="reorganization energy Q directly")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args leaves it as it was."""
     ap = argparse.ArgumentParser(prog="meanforce")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -427,8 +429,8 @@ def _run_correspondence(args, cache) -> SweepTable:
     t_grid = parse_grid(args.t_spin)
     if min(t_grid) < 0:
         raise ConfigError(f"--t-spin must be nonnegative, got {args.t_spin!r}")
-    # t_spin = 0 is T = 0
-    beta_prime = [math.inf if t == 0 else 1.0 / t for t in t_grid]
+    # beta' = beta S0 = 1/(t_spin omega_l): beta at n = 2 (S0 = 1); 0 is T = 0
+    beta_prime = [beta_from_t_spin(t, 2, args.omega_l) for t in t_grid]
     table = correspondence_sweep(args.alpha, args.theta_rad, beta_prime,
                                  n_list=n_list, method=args.method,
                                  omega_l=args.omega_l, omega_0=args.omega_0,
@@ -493,6 +495,8 @@ def run(argv=None) -> int:
                 if os.path.lexists(path):
                     os.remove(path)
             raise
+        finally:
+            cache.close()
         return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

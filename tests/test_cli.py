@@ -1,8 +1,14 @@
 """Command-line interface: parsing, sweeps, caching, and exit codes."""
 
+import gc
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,10 +72,10 @@ def test_canonical_key_stability():
 
 
 def test_cache_roundtrip(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    assert cache.get("k") is None
-    cache.put("k", [1.0, 2.0])
-    assert cache.get("k") == [1.0, 2.0]
+    with ResultCache(str(tmp_path)) as cache:
+        assert cache.get("k") is None
+        cache.put("k", [1.0, 2.0])
+        assert cache.get("k") == [1.0, 2.0]
     # a fresh instance reloads from disk
     again = ResultCache(str(tmp_path))
     assert again.get("k") == [1.0, 2.0]
@@ -91,6 +97,16 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
         cache = ResultCache(str(tmp_path))
     assert cache.get("good") == 3
     assert any("corrupt" in rec.message for rec in caplog.records)
+
+
+def test_cache_put_reaches_the_file_before_close(tmp_path):
+    # each record is flushed as it is put: a run killed before close keeps it
+    with ResultCache(str(tmp_path / "new")) as cache:
+        cache.put("a", 1)
+        cache.put("b", [2.0])
+        assert (tmp_path / "new" / "results.jsonl").read_text() == (
+            '{"key": "a", "value": 1}\n{"key": "b", "value": [2.0]}\n')
+    cache.close()  # a second close is harmless
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +151,90 @@ def test_version_bump_invalidates_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "__version__", "999.0.0")
     assert run(sweep_args(tmp_path)) == 0
     assert "hits 0" in capsys.readouterr().err
+
+
+def test_failed_sweep_keeps_the_cells_it_finished(tmp_path, monkeypatch,
+                                                  capsys):
+    # the k-th of 16 cells fails: the k - 1 before it are on disk, one whole
+    # line each, while the run is still open; a rerun serves them as hits
+    k, calls, seen = 5, [], []
+    path = tmp_path / "cache" / "results.jsonl"
+
+    def counted(solve):
+        def solver(params):
+            calls.append(1)
+            if len(calls) == k:
+                seen.append(path.read_text())
+                raise QuadratureNotConverged("cell k")
+            return solve(params)
+        return solver
+
+    for name in ("cgibbs", "cmf"):
+        monkeypatch.setitem(SOLVERS, name, counted(SOLVERS[name]))
+    assert run(sweep_args(tmp_path)) == 3
+    lines = seen[0].split("\n")
+    assert len(lines) == k and lines[-1] == ""
+    assert all(set(json.loads(ln)) == {"key", "value"} for ln in lines[:-1])
+    assert path.read_text() == seen[0]
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert run(sweep_args(tmp_path)) == 0
+    assert f"hits {k - 1}, misses {17 - k}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [None, QuadratureNotConverged,
+                                 NotImplementedError])
+def test_run_closes_the_cache_file(tmp_path, monkeypatch, exc):
+    # after a run that succeeds, exits 3 or raises, no file is left open; a
+    # new exception each time, so that no traceback keeps the run's frame
+    def fails(params):
+        raise exc("cmf")
+
+    if exc is not None:
+        monkeypatch.setitem(SOLVERS, "cmf", fails)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            assert run(sweep_args(tmp_path)) == (0 if exc is None else 3)
+        except NotImplementedError:
+            pass
+        gc.collect()
+    assert (tmp_path / "cache" / "results.jsonl").exists()
+    assert [w for w in caught if w.category is ResourceWarning] == []
+
+
+def _dumps_key(payload):
+    # canonical_key as written with json.dumps before 0.3.9
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_cache_written_with_json_dumps_is_served_whole(tmp_path, capsys,
+                                                       monkeypatch):
+    # a results.jsonl whose keys and lines json.dumps wrote (as before 0.3.9)
+    # is byte-identical to today's, and a run from it hits every cell
+    lines, put = [], ResultCache.put
+
+    def dumps_put(self, key, value):
+        lines.append(json.dumps({"key": key, "value": value},
+                                sort_keys=True) + "\n")
+        put(self, key, value)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "canonical_key", _dumps_key)
+        m.setattr(ResultCache, "put", dumps_put)
+        assert run(sweep_args(tmp_path, out="a.csv",
+                              extra=("--no-cache",))) == 0
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "results.jsonl").write_text("".join(lines))
+    capsys.readouterr()
+    assert run(sweep_args(tmp_path, out="b.csv")) == 0
+    assert "hits 16, misses 0" in capsys.readouterr().err
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert run([*sweep_args(tmp_path, out="c.csv"),
+                "--cache-dir", str(tmp_path / "today")]) == 0
+    assert (tmp_path / "today" / "results.jsonl").read_text() == "".join(lines)
 
 
 def test_tolerance_change_invalidates_cache(tmp_path, capsys):
@@ -200,6 +300,42 @@ def test_config_switch(tmp_path, capsys, value, hits):
     for _ in range(2):
         assert run(sweep_args(tmp_path, extra=("--config", str(cfg)))) == 0
     assert f"hits {hits}," in capsys.readouterr().err.splitlines()[-1]
+
+
+def _fresh_interpreter_csv(argv, out):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "meanforce.cli", *argv,
+                           "--output", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()
+
+
+def test_reused_parser_carries_nothing_between_runs(tmp_path):
+    # one process parses with one parser: a config file's values, a switch
+    # or a cache setting of one run must not reach the next; each CSV is
+    # the one a new interpreter writes
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("methods = cgibbs,cmf\nn = 3\nt-half = 0:2:3\n")
+    cached = ["sweep-temperature", "--methods", "cmf", "--zeta", "0.5",
+              "--t-half", "0.5:1:2"]
+    runs = [["sweep-temperature", "--config", str(cfg), "--zeta", "2",
+             "--no-cache"],
+            ["sweep-temperature", "--zeta", "2", "--t-half", "1",
+             "--no-cache"],
+            [*cached, "--no-cache"],
+            [*cached, "--cache-dir", str(tmp_path / "cache")]]
+    for i, argv in enumerate(runs):
+        assert run([*argv, "--output", str(tmp_path / f"{i}.csv")]) == 0
+    assert (tmp_path / "cache" / "results.jsonl").read_text().count("\n") == 2
+    for i, argv in enumerate(runs):
+        argv = [a.replace(str(tmp_path / "cache"), str(tmp_path / "fresh"))
+                for a in argv]
+        assert _fresh_interpreter_csv(argv, tmp_path / f"fresh{i}.csv") == \
+            (tmp_path / f"{i}.csv").read_bytes()
 
 
 def test_missing_coupling_is_config_error(tmp_path):
@@ -457,6 +593,21 @@ def test_correspondence_t_spin_zero_is_zero_temperature(tmp_path):
 def test_correspondence_rejects_negative_t_spin(tmp_path, capsys, t_spin):
     assert run(["correspondence", f"--t-spin={t_spin}", "--n-list", "1"]) == 2
     assert "--t-spin must be nonnegative" in capsys.readouterr().err
+
+
+def test_correspondence_t_spin_reads_omega_l(tmp_path):
+    # t_spin = kB T/(S0 omega_l): at n = 1, omega_l = 2, t_spin = 1 is
+    # t_half = 1, and the WK row is sweep-temperature's qmf-wk cell
+    out = tmp_path / "x.csv"
+    assert run(["correspondence", "--t-spin", "1", "--n-list", "1",
+                "--omega-l", "2", "--output", str(out)]) == 0
+    corr = [ln for ln in out.read_text().split("\n") if ln.startswith("1,")]
+    assert run(["sweep-temperature", "--methods", "qmf-wk", "--zeta", "0.06",
+                "--omega-l", "2", "--t-half", "1", "--no-cache",
+                "--output", str(out)]) == 0
+    sweep = out.read_text().split("\n")[-2]
+    assert corr == ["1,0.5," + sweep.split(",", 2)[2].rsplit(",", 2)[0]]
+    assert corr == ["1,0.5,0.754133554529,-0.0102878339499"]
 
 
 def test_correspondence_keeps_the_tables_theta(tmp_path):
