@@ -6,7 +6,7 @@ weak-coupling and ultrastrong limits, regime classification, and a
 classical Langevin dynamics cross-check.
 """
 
-__version__ = "0.3.9"
+__version__ = "0.3.10"
 
 from .model import (
     BareQBath,

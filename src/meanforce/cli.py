@@ -31,7 +31,7 @@ from . import __version__
 from .cache import ResultCache, canonical_key, default_cache_dir
 from .classical import (QuadratureNotConverged, SphericalPoint,
                         cmf_expectations, cmf_logweight)
-from .dynamics import SimConfig, simulate_steady
+from .dynamics import SEED_LIMIT, SimConfig, simulate_steady
 from .limits import correspondence_sweep
 from .model import (BareQBath, LorentzianBath, ModelParams, alpha_scaling,
                     beta_from_t_half, beta_from_t_spin, spin_length)
@@ -79,6 +79,15 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def seed_int(text: str) -> int:
+    """int(text), rejecting values outside the Langevin seed range."""
+    value = int(text)
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 2**128), got {value}")
     return value
 
 
@@ -145,7 +154,8 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
 
 def _add_cell_args(p: argparse.ArgumentParser) -> None:
     """Settings that only the cell cache key and the Langevin runs read."""
-    p.add_argument("--seed", type=int, default=0, help="Langevin noise seed")
+    p.add_argument("--seed", type=seed_int, default=0,
+                   help="Langevin noise seed")
     p.add_argument("--tol", type=finite_float,
                    help="tolerance recorded in the cache key")
 

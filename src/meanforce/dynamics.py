@@ -18,7 +18,11 @@ rotation of the spin about the instantaneous effective field, then the
 mirrored half update.  The damped momentum takes one exact Ornstein-Uhlenbeck
 step over dt next to the rotation, which does not read P; this is the same
 Markov chain as two OU half-steps around the rotation, with one normal per
-step.  The rotation preserves |s| to machine precision.
+step.  The rotation is built in Cayley form from one tangent,
+tan(|B| dt/2), with no sine or cosine, and preserves |s| to machine
+precision.  A step's closing force kick reads the same state as the next
+step's opening kick, so the force is evaluated once per step; burn-in and
+sampling run inside the kernel's step loop.
 """
 
 from __future__ import annotations
@@ -37,7 +41,10 @@ __all__ = [
     "simulate_steady",
 ]
 
-_ONE, _TINY = np.array(1.0), np.array(1e-300)
+_ONE, _TWO, _TINY = np.array(1.0), np.array(2.0), np.array(1e-300)
+
+# seeds are Philox keys, which are 128-bit
+SEED_LIMIT = 2 ** 128
 
 _THETA_MSG = (
     "theta = 0 couples the bath to Sz only, which commutes with the free "
@@ -84,11 +91,15 @@ class SimConfig:
             raise ValueError("stride must be >= 1")
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(
+                f"seed must be in [0, 2**128), the Philox key range, "
+                f"got {self.seed}")
 
 
 class _StepKernel:
     """Precomputed constants, scratch buffers for n trajectories and the
-    Strang step acting on component arrays."""
+    Strang step loop, acting in place on component arrays."""
 
     def __init__(self, params: ModelParams, dt: float, n: int):
         bath = params.bath
@@ -107,101 +118,111 @@ class _StepKernel:
         # operand on every call, which at small ensembles costs more than
         # the arithmetic
         f = np.array
-        self.dt, self.h, self.omega_l = f(dt), f(h), f(params.omega_l)
+        self.h, self.omega_l = f(h), f(params.omega_l)
         self.sin_t, self.cos_t, self.c = f(sin_t), f(cos_t), f(c)
         self.c_sin, self.c_cos = f(c * sin_t), f(c * cos_t)
         self.w0sq = f(bath.omega_0 ** 2)
         self.c1 = f(c1)
         self.noise_std = f(math.sqrt(kbt * (1.0 - c1 * c1)))
-        self._tmp = tuple(np.empty(n) for _ in range(6))
-        self._spin = tuple(np.empty(n) for _ in range(3))
+        self._tmp = tuple(np.empty(n) for _ in range(8))
 
-    def _kick(self, sx, sz, x, p):
-        """p -= (omega_0^2 X + c S_theta) h, the half-step force kick."""
-        a, b = self._tmp[:2]
-        np.multiply(sz, self.cos_t, out=a)
+    def _force(self, sx, sz, x, out, b):
+        """out = (omega_0^2 X + c S_theta) h, the half-step force kick."""
+        np.multiply(sz, self.cos_t, out=out)
         np.multiply(sx, self.sin_t, out=b)
-        a -= b
-        a *= self.c
+        out -= b
+        out *= self.c
         np.multiply(x, self.w0sq, out=b)
-        b += a
-        b *= self.h
-        p -= b
+        out += b
+        out *= self.h
 
-    def _drift(self, x, p):
-        a = self._tmp[0]
-        np.multiply(p, self.h, out=a)
-        x += a
+    def run(self, sx, sy, sz, x, p, rng, n_steps, sampled=range(0),
+            sums=None, dump=None):
+        """n_steps Strang steps, every array in place.  After each step i
+        in sampled, sz and sx are added to the rows of sums, shape (2, n),
+        and, if dump is a list, member 0's (sx, sy, sz, X, P) is appended
+        to it."""
+        mul, sub, div = np.multiply, np.subtract, np.divide
+        sqrt, tan, maximum = np.sqrt, np.tan, np.maximum
+        normal = rng.standard_normal
+        h, omega_l, c1 = self.h, self.omega_l, self.c1
+        c_sin, c_cos, noise_std = self.c_sin, self.c_cos, self.noise_std
+        force = self._force
+        f, b, bx, bz, t, wx, wy, wz = self._tmp
+        # a step's closing kick and the next step's opening kick read the
+        # same (s, X), so one force serves both
+        force(sx, sz, x, f, b)
+        for i in range(n_steps):
+            # half update of (X, P): kick, drift; then the momentum's whole
+            # OU step, since the rotation does not read P
+            p -= f
+            mul(p, h, out=b)
+            x += b
+            normal(out=b)
+            b *= noise_std
+            p *= c1
+            p += b
 
-    def _ou(self, p, rng):
-        """Exact Ornstein-Uhlenbeck step of the damped momentum over dt."""
-        a = self._tmp[0]
-        rng.standard_normal(out=a)
-        a *= self.noise_std
-        p *= self.c1
-        p += a
+            # exact precession: ds/dt = grad_s H x s = -B_eff x s with
+            # B_eff = omega_l z_hat - c X theta_hat, i.e. rotation by -|B| dt
+            # about B, in Cayley form from one tangent: with
+            # g = -tan(|B| dt/2) B/|B|, w = s + g x s and
+            # s' = s + 2/(1 + |g|^2) g x w.  (bx, bz) holds B, then
+            # G = -g (G_y = 0): w = s - G x s and s' = s - q G x w,
+            # q = 2/(1 + |G|^2).  At |B| = 0 the guard gives G = 0, s' = s
+            mul(x, c_sin, out=bx)
+            mul(x, c_cos, out=bz)
+            sub(omega_l, bz, out=bz)
+            mul(bx, bx, out=t)
+            mul(bz, bz, out=b)
+            t += b
+            sqrt(t, out=t)
+            mul(t, h, out=b)
+            tan(b, out=b)
+            maximum(t, _TINY, out=t)
+            div(b, t, out=t)
+            bx *= t
+            bz *= t
+            mul(b, b, out=t)
+            t += _ONE
+            div(_TWO, t, out=t)
+            # w
+            mul(bz, sy, out=wx)
+            wx += sx
+            mul(bx, sy, out=wz)
+            sub(sz, wz, out=wz)
+            mul(bz, sx, out=wy)
+            sub(sy, wy, out=wy)
+            mul(bx, sz, out=b)
+            wy += b
+            # s -= (q G) x w
+            bx *= t
+            bz *= t
+            mul(bz, wy, out=b)
+            sx += b
+            mul(bx, wy, out=b)
+            sz -= b
+            mul(bx, wz, out=b)
+            sy += b
+            mul(bz, wx, out=b)
+            sy -= b
+
+            # mirrored half update of (X, P)
+            mul(p, h, out=b)
+            x += b
+            force(sx, sz, x, f, b)
+            p -= f
+
+            if i in sampled:
+                sums[0] += sz
+                sums[1] += sx
+                if dump is not None:
+                    dump.append((sx[0], sy[0], sz[0], x[0], p[0]))
+        return sx, sy, sz, x, p
 
     def step(self, sx, sy, sz, x, p, rng):
-        """One full Strang step, x and p in place.  The new spin goes to
-        the kernel's spin buffers, and the spin passed in becomes them."""
-        mul, sub = np.multiply, np.subtract
-        a, b, kx, kz, ca, sn = self._tmp
-        nx, ny, nz = self._spin
-
-        # half update of (X, P): kick, drift; then the momentum's whole OU
-        # step, since the rotation does not read P
-        self._kick(sx, sz, x, p)
-        self._drift(x, p)
-        self._ou(p, rng)
-
-        # exact precession: ds/dt = grad_s H x s = -B_eff x s with
-        # B_eff = omega_l z_hat - c X theta_hat, i.e. rotation by -|B| dt
-        # about k = B/|B|: s' = s cos - (k x s) sn + k (k.s)(1 - cos),
-        # with sn = sin(|B| dt)
-        mul(x, self.c_sin, out=kx)
-        mul(x, self.c_cos, out=kz)
-        sub(self.omega_l, kz, out=kz)
-        mul(kx, kx, out=a)
-        mul(kz, kz, out=b)
-        a += b
-        np.sqrt(a, out=a)
-        mul(a, self.dt, out=ca)
-        np.sin(ca, out=sn)
-        np.cos(ca, out=ca)
-        np.maximum(a, _TINY, out=a)
-        np.divide(_ONE, a, out=a)
-        kx *= a
-        kz *= a
-        # a = (k . s)(1 - cos)
-        mul(kx, sx, out=a)
-        mul(kz, sz, out=b)
-        a += b
-        sub(_ONE, ca, out=b)
-        a *= b
-        mul(sx, ca, out=nx)
-        mul(kz, sy, out=b)
-        b *= sn
-        nx += b
-        mul(kx, a, out=b)
-        nx += b
-        mul(sz, ca, out=nz)
-        mul(kx, sy, out=b)
-        b *= sn
-        nz -= b
-        mul(kz, a, out=b)
-        nz += b
-        mul(sy, ca, out=ny)
-        mul(kz, sx, out=a)
-        mul(kx, sz, out=b)
-        a -= b
-        a *= sn
-        ny -= a
-        self._spin = sx, sy, sz
-
-        # mirrored half update of (X, P)
-        self._drift(x, p)
-        self._kick(nx, nz, x, p)
-        return nx, ny, nz, x, p
+        """One full Strang step, every array in place."""
+        return self.run(sx, sy, sz, x, p, rng, 1)
 
 
 # trapezoid intervals per unit panel of the bath coordinate's inverse CDF:
@@ -296,7 +317,10 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
     sx, sy, sz, x, p = _init_ensemble(params, kern, n_traj, rng)
     s0 = params.s0
 
+    n_burn = max(1, int(round(cfg.t_burn / cfg.dt)))
     n_samp = max(1, int(round(cfg.t_sample / cfg.dt)))
+    # the steps after which the members are sampled, counted from 0
+    sampled = range(n_burn, n_burn + n_samp, cfg.stride)
     dump = [] if trajectory is not None else None
 
     if params.beta == math.inf:
@@ -304,33 +328,19 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
         # noiseless step, so each time average is the member's start and
         # the members' spread between the maxima is no sampling error
         if dump is not None:
-            dump = [(cfg.t_burn + (k + 1) * cfg.dt, sx[0], sy[0], sz[0],
-                     x[0], p[0]) for k in range(0, n_samp, cfg.stride)]
+            dump = [(sx[0], sy[0], sz[0], x[0], p[0])] * len(sampled)
         mz, mx = sz / s0, sx / s0
         sz_err = sx_err = 0.0
     else:
-        for _ in range(max(1, int(round(cfg.t_burn / cfg.dt)))):
-            sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, rng)
-
-        sum_z = np.zeros(n_traj)
-        sum_x = np.zeros(n_traj)
-        count = 0
-        for k in range(n_samp):
-            sx, sy, sz, x, p = kern.step(sx, sy, sz, x, p, rng)
-            if k % cfg.stride == 0:
-                sum_z += sz
-                sum_x += sx
-                count += 1
-                if dump is not None:
-                    t = cfg.t_burn + (k + 1) * cfg.dt
-                    dump.append((t, sx[0], sy[0], sz[0], x[0], p[0]))
+        sums = np.zeros((2, n_traj))
+        kern.run(sx, sy, sz, x, p, rng, n_burn + n_samp, sampled, sums, dump)
 
         norm = np.sqrt(sx * sx + sy * sy + sz * sz)
         if np.max(np.abs(norm - s0)) > 1e-9 * max(1.0, s0):
             raise RuntimeError("spin norm drifted beyond tolerance")
 
-        mz = sum_z / (count * s0)
-        mx = sum_x / (count * s0)
+        mz = sums[0] / (len(sampled) * s0)
+        mx = sums[1] / (len(sampled) * s0)
         if n_traj > 1:
             sz_err = float(np.std(mz, ddof=1) / math.sqrt(n_traj))
             sx_err = float(np.std(mx, ddof=1) / math.sqrt(n_traj))
@@ -341,6 +351,8 @@ def simulate_steady(params: ModelParams, cfg: SimConfig,
 
     if dump is not None:
         trajectory.write("t,sx,sy,sz,X,P\n" + "".join(
-            "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" % r for r in dump))
+            "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n"
+            % (cfg.t_burn + (i - n_burn + 1) * cfg.dt, *row)
+            for i, row in zip(sampled, dump)))
 
     return SpinExpectation(sz=out_z, sx=out_x, sz_err=sz_err, sx_err=sx_err)

@@ -353,6 +353,16 @@ def test_dynamics_rejects_theta_zero(tmp_path):
                 "--output", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+def test_dynamics_seed_out_of_range_names_the_flag(tmp_path, capsys, seed):
+    # a seed numpy's Philox cannot take is a configuration error of --seed
+    assert run(["dynamics", "--zeta", "1", "--t-half", "1", "--ensemble",
+                "4", "--t-burn", "1", "--t-sample", "1", "--no-cache",
+                "--seed", seed, "--output", str(tmp_path / "x.csv")]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-temperature", "--zeta", "1", "--t-half", "nan",
      "--methods", "cgibbs,qgibbs,cmf-us,qmf-us", "--no-cache"],

@@ -2,6 +2,7 @@
 stationarity, and determinism."""
 
 import hashlib
+import io
 import math
 import tracemalloc
 
@@ -50,6 +51,15 @@ def test_sim_config_validation():
                 simulate_steady(p, cfg)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_seed_outside_the_philox_key_range_is_rejected(seed):
+    p = make_params()
+    SimConfig(dt=0.005, t_burn=1.0, t_sample=1.0,
+              seed=2 ** 128 - 1).validate(p)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(dt=0.005, t_burn=1.0, t_sample=1.0, seed=seed).validate(p)
+
+
 def test_theta_zero_rejected():
     p = make_params(theta=0.0)
     cfg = SimConfig(dt=0.005, t_burn=1.0, t_sample=1.0)
@@ -79,6 +89,83 @@ def test_free_precession():
     assert sx[0] == pytest.approx(expected[0], abs=1e-6)
     assert sy[0] == pytest.approx(expected[1], abs=1e-6)
     assert math.hypot(sx[0], sy[0], sz[0]) == pytest.approx(s0, abs=1e-12)
+
+
+def _sin_cos_step(p, dt, sx, sy, sz, x, mom):
+    """The noiseless Strang step with the rotation by -|B| dt about k = B/|B|
+    in closed form from sin and cos, s cos - (k x s) sin + k (k.s)(1 - cos):
+    the reference for the kernel's tangent (Cayley) form."""
+    c = p.bath.omega_0 * math.sqrt(2.0 * p.q)
+    sin_t, cos_t = math.sin(p.theta), math.cos(p.theta)
+    h = 0.5 * dt
+
+    def force(sx, sz, x):
+        return (p.bath.omega_0 ** 2 * x + c * (sz * cos_t - sx * sin_t)) * h
+
+    mom = mom - force(sx, sz, x)
+    x = x + mom * h
+    mom = mom * math.exp(-p.bath.gamma_w * dt)
+    bx, bz = c * sin_t * x, p.omega_l - c * cos_t * x
+    r = np.hypot(bx, bz)
+    kx, kz = bx / np.maximum(r, 1e-300), bz / np.maximum(r, 1e-300)
+    cos_a, sin_a = np.cos(r * dt), np.sin(r * dt)
+    ks = (kx * sx + kz * sz) * (1.0 - cos_a)
+    nx = sx * cos_a + kz * sy * sin_a + kx * ks
+    ny = sy * cos_a - (kz * sx - kx * sz) * sin_a
+    nz = sz * cos_a - kx * sy * sin_a + kz * ks
+    x = x + mom * h
+    return nx, ny, nz, x, mom - force(nx, nz, x)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2])
+def test_tangent_rotation_matches_sin_cos_rotation(theta):
+    # at T = 0 (no noise) one step agrees with the sin/cos reference to
+    # 1e-14 over rotation angles |B| dt in [0, 3 pi], the neighbourhoods of
+    # pi/2 and pi (tan's pole) included, and keeps |s|; at theta = 0 the
+    # field vanishes exactly at X = 1/c, where the guard leaves s as it is
+    p = ModelParams(n=1, omega_l=1.0, theta=theta,
+                    bath=LorentzianBath.from_q(2.0, 7.0, 5.0),
+                    beta=math.inf)
+    dt = 0.007
+    w0 = p.bath.omega_0
+    c = w0 * math.sqrt(2.0 * p.q)
+    near = np.linspace(-1e-6, 1e-6, 2001)
+    phi = np.concatenate([np.linspace(0.0, 3.0 * math.pi, 100_001),
+                          math.pi / 2 + near, math.pi + near])
+    # X on the branch where |B| = phi/dt, from
+    # c^2 X^2 - 2 c cos(theta) X + 1 = (phi/dt)^2
+    cos_t = math.cos(theta)
+    x = (cos_t + np.sqrt(np.maximum(cos_t ** 2 - 1.0 + (phi / dt) ** 2,
+                                    0.0))) / c
+    if theta == 0.0:
+        x = np.append(x, 1.0 / c)
+    n = len(x)
+    rng = np.random.default_rng(23)
+    s = rng.standard_normal((3, n))
+    s *= p.s0 / np.linalg.norm(s, axis=0)
+    # P equal to the opening kick's force: the drift leaves X where it is
+    s_theta = s[2] * cos_t - s[0] * math.sin(theta)
+    mom = (w0 ** 2 * x + c * s_theta) * (dt / 2)
+    ref = _sin_cos_step(p, dt, *s, x, mom)
+    angle = np.hypot(c * math.sin(theta) * x, 1.0 - c * cos_t * x) * dt
+    assert angle.min() <= (0.0 if theta == 0.0 else 0.01)
+    assert angle.max() >= 3.0 * math.pi - 1e-9
+    got = _StepKernel(p, dt, n).step(*(a.copy() for a in (*s, x, mom)),
+                                     np.random.default_rng(0))
+    for g, r in zip(got[:3], ref[:3]):
+        assert np.max(np.abs(g - r)) <= 1e-14
+    assert np.array_equal(got[3], ref[3])
+    assert np.max(np.abs(got[4] - ref[4])) <= 1e-14 * np.max(np.abs(ref[4]))
+    # |s| to 1e-15 relative up to |B| dt = pi/2; towards tan's pole at pi
+    # the rounding of the large w costs a few ulps more (the sin/cos form
+    # itself reaches 1e-15 there)
+    before = np.sqrt(np.sum(s * s, axis=0))
+    after = np.sqrt(got[0] ** 2 + got[1] ** 2 + got[2] ** 2)
+    drift = np.abs(after - before) / p.s0
+    assert np.max(drift[angle <= math.pi / 2]) <= 1e-15
+    assert np.max(drift) <= 2e-15
+    if theta == 0.0:
+        assert all(g[-1] == a[-1] for g, a in zip(got[:3], s))
 
 
 def test_oscillator_equipartition():
@@ -171,34 +258,37 @@ def test_trajectory_dump(tmp_path):
 STREAM_POINTS = [(math.pi / 4, 2.0, 1.0, 1), (1.2, 14.0, 0.5, 1),
                  (0.3, 0.5, 4.0, 3)]
 STREAM_PINS = {
-    (0, 1): (0.7363616923161597, -0.43594404133210146, 0.0, 0.0),
-    (0, 7): (0.42727510781487466, -0.022227379512987675,
-             0.19300815773885607, 0.2295159953115931),
-    (0, 64): (0.39653374578788225, 0.027724735259350944,
-              0.0644075249558076, 0.06204695666456017),
-    (0, 4096): (0.3335504222681828, -0.06179076545036487,
+    (0, 1): (0.7363616923161601, -0.43594404133210163, 0.0, 0.0),
+    (0, 7): (0.4272751078148744, -0.022227379512987033,
+             0.19300815773885618, 0.2295159953115935),
+    (0, 64): (0.3965337457878822, 0.027724735259350902,
+              0.0644075249558076, 0.062046956664560185),
+    (0, 4096): (0.3335504222681829, -0.06179076545036486,
                 0.00783565940715884, 0.007911211254622661),
-    (1, 1): (0.43572993260020104, -0.8334167958476968, 0.0, 0.0),
-    (1, 7): (0.41567023163298744, -0.8659199259396467,
-             0.004890425713588536, 0.017215510827921103),
-    (1, 64): (0.2800496860272842, -0.5356505086620451,
+    (1, 1): (0.4357299326002013, -0.8334167958476976, 0.0, 0.0),
+    (1, 7): (0.4156702316329876, -0.8659199259396473,
+             0.004890425713588527, 0.017215510827921037),
+    (1, 64): (0.28004968602728414, -0.5356505086620451,
               0.03427194442756369, 0.0875984271171833),
-    (1, 4096): (0.2774696782948062, -0.5244436056456805,
+    (1, 4096): (0.2774696782948062, -0.5244436056456804,
                 0.004276476772391268, 0.011051915852817165),
-    (2, 1): (-0.9855451298812312, -0.0963647662547894, 0.0, 0.0),
-    (2, 7): (0.18195974824294092, -0.3419491262983588,
-             0.275764928716418, 0.11950614369970125),
-    (2, 64): (0.2522904819779021, 0.01111106208135912,
-              0.07422854292671606, 0.05968806824481647),
-    (2, 4096): (0.2868589556950423, -0.019757093371601732,
-                0.008758983892214885, 0.007069702907714537),
+    (2, 1): (-0.9855451298812304, -0.09636476625478933, 0.0, 0.0),
+    (2, 7): (0.18195974824294098, -0.34194912629835866,
+             0.2757649287164181, 0.11950614369970121),
+    (2, 64): (0.25229048197790216, 0.011111062081359214,
+              0.07422854292671602, 0.05968806824481647),
+    (2, 4096): (0.2868589556950423, -0.019757093371601753,
+                0.008758983892214883, 0.007069702907714536),
 }
 
 
 @pytest.mark.parametrize("point, ensemble", sorted(STREAM_PINS))
 def test_langevin_stream_is_pinned(point, ensemble):
     # the start, the step and the noise draws reproduce the recorded
-    # stream exactly: a faster kernel must round every operation as before
+    # stream exactly.  The step's map is checked against the closed form
+    # by test_tangent_rotation_matches_sin_cos_rotation; these pins guard
+    # the stream: the order of the draws and the rounding of every
+    # operation
     theta, q, t_half, n = STREAM_POINTS[point]
     p = ModelParams(n=n, omega_l=1.0, theta=theta,
                     bath=LorentzianBath.from_q(q, 7.0, 5.0),
@@ -217,6 +307,55 @@ def test_trajectory_dump_is_pinned(tmp_path):
         simulate_steady(make_params(zeta_val=1.0), cfg, trajectory=fh)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "cc6825497cc24aa11affef46948cadf37ecb453e72f14cfa68f89d5197cb8c20")
+
+
+def _start(p, n, seed):
+    kern = _StepKernel(p, 0.007, n)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return kern, list(_init_ensemble(p, kern, n, rng)), rng
+
+
+def test_single_steps_equal_one_run():
+    # step() is the loop with one step: 60 calls give the bits of one
+    # 60-step run, noise included
+    p = make_params(zeta_val=2.0, beta=1.0)
+    kern, one, rng_one = _start(p, 16, 31)
+    _, run, rng_run = _start(p, 16, 31)
+    for _ in range(60):
+        one = kern.step(*one, rng_one)
+    kern.run(*run, rng_run, 60)
+    for a, b in zip(one, run):
+        assert np.array_equal(a, b)
+
+
+def test_simulate_steady_is_a_loop_over_step():
+    # simulate_steady gives the bits of a hand loop over step() that
+    # samples every stride-th step after burn-in, and dumps member 0 there
+    p = make_params(zeta_val=2.0, beta=1.0)
+    cfg = SimConfig(dt=0.007, t_burn=0.1, t_sample=0.3, stride=3, seed=8,
+                    ensemble=5)
+    stream = io.StringIO()
+    e = simulate_steady(p, cfg, trajectory=stream)
+
+    kern, state, rng = _start(p, cfg.ensemble, cfg.seed)
+    n_burn, n_samp = round(cfg.t_burn / cfg.dt), round(cfg.t_sample / cfg.dt)
+    sum_z, sum_x, count = np.zeros(cfg.ensemble), np.zeros(cfg.ensemble), 0
+    rows = ["t,sx,sy,sz,X,P\n"]
+    for i in range(n_burn + n_samp):
+        state = kern.step(*state, rng)
+        k = i - n_burn
+        if k >= 0 and k % cfg.stride == 0:
+            sum_z += state[2]
+            sum_x += state[0]
+            count += 1
+            rows.append("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" % (
+                cfg.t_burn + (k + 1) * cfg.dt, *(a[0] for a in state)))
+    mz, mx = sum_z / (count * p.s0), sum_x / (count * p.s0)
+    sq_n = math.sqrt(cfg.ensemble)
+    assert (e.sz, e.sx, e.sz_err, e.sx_err) == (
+        float(np.mean(mz)), float(np.mean(mx)),
+        float(np.std(mz, ddof=1) / sq_n), float(np.std(mx, ddof=1) / sq_n))
+    assert stream.getvalue() == "".join(rows)
 
 
 def test_simulation_memory_is_bounded():
